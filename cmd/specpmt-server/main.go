@@ -5,7 +5,7 @@
 //
 //	specpmt-server [-addr host:port] [-engine spec|undo|hashlog|...]
 //	               [-profile optane-adr|...] [-shards n] [-pool-size bytes]
-//	               [-max-batch n] [-batch-window d] [-max-conns n]
+//	               [-max-batch n] [-max-conns n]
 //	               [-max-inflight n] [-pipeline-depth n]
 //	               [-proto auto|text|binary]
 //	               [-admin host:port] [-log-format text|json] [-log-level l]
@@ -75,8 +75,7 @@ func main() {
 	profile := flag.String("profile", "", "simulated media profile (default optane-adr)")
 	shards := flag.Int("shards", 4, "worker shards (1..16); each owns one engine thread")
 	poolSize := flag.Int("pool-size", 256<<20, "persistent pool size in bytes")
-	maxBatch := flag.Int("max-batch", 32, "max requests per group commit (<=1 disables batching)")
-	batchWindow := flag.Duration("batch-window", 200*time.Microsecond, "how long a worker waits to fill a batch")
+	maxBatch := flag.Int("max-batch", 32, "cap on requests per group commit; a worker commits what is queued and never waits to fill it (<=1 disables batching)")
 	maxConns := flag.Int("max-conns", 256, "max concurrent connections")
 	maxInFlight := flag.Int("max-inflight", 1024, "max requests admitted to worker queues")
 	pipelineDepth := flag.Int("pipeline-depth", 1, "speculative group-commit pipeline depth: batches a shard may execute past an unretired commit fence (1 disables pipelining)")
@@ -181,7 +180,6 @@ func main() {
 		Shards:      *shards,
 		PoolSize:    *poolSize,
 		MaxBatch:    *maxBatch,
-		BatchWindow: *batchWindow,
 		MaxConns:    *maxConns,
 		MaxInFlight: *maxInFlight,
 		Obs:         plane,

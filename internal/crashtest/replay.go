@@ -227,13 +227,22 @@ func ReplicaReplay(cfg ReplayConfig) (ReplayReport, error) {
 		}
 	}
 
-	burst := func(round int) error {
+	// A burst written while the replica tails live is paced to it: a primary
+	// that outruns its bounded log evicts its own live replica, and the even
+	// rounds need the crash to land on a cursor the log still covers — on any
+	// host, however fast the primary commits.
+	burst := func(round int, live bool) error {
 		nTx := rng.Intn(cfg.TxPerRound) + cfg.TxPerRound/2
 		for i := 0; i < nTx; i++ {
 			if err := randomTx(c, rng, cfg.Keys, oracle); err != nil {
 				return fmt.Errorf("crashtest: round %d tx %d: %w", round, i, err)
 			}
 			rep.Committed++
+			if live {
+				if err := waitLagBelow(replica, primary, uint64(cfg.LogCap/2), 30*time.Second); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	}
@@ -246,7 +255,7 @@ func ReplicaReplay(cfg ReplayConfig) (ReplayReport, error) {
 		// the next incarnation is refused a resume and must re-snapshot.
 		writeWhileDown := round%2 == 1
 		if !writeWhileDown {
-			if err := burst(round); err != nil {
+			if err := burst(round, true); err != nil {
 				return rep, err
 			}
 		}
@@ -257,7 +266,7 @@ func ReplicaReplay(cfg ReplayConfig) (ReplayReport, error) {
 		}
 		rep.Crashes++
 		if writeWhileDown {
-			if err := burst(round); err != nil {
+			if err := burst(round, false); err != nil {
 				return rep, err
 			}
 		}
@@ -334,17 +343,21 @@ func randomTx(c *server.Client, rng *sim.Rand, keys uint64, oracle map[uint64]ui
 }
 
 func waitCaughtUp(r *repl.Replica, p *repl.Primary, timeout time.Duration) error {
+	return waitLagBelow(r, p, 1, timeout)
+}
+
+// waitLagBelow waits until the replica's applied LSN is fewer than lag
+// records behind the primary's head.
+func waitLagBelow(r *repl.Replica, p *repl.Primary, lag uint64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
-		if r.AppliedLSN() >= p.Log().Head() {
-			return nil
-		}
+	for r.AppliedLSN()+lag <= p.Log().Head() {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("crashtest: replica stuck at lsn %d, primary head %d",
 				r.AppliedLSN(), p.Log().Head())
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(200 * time.Microsecond)
 	}
+	return nil
 }
 
 func statOf(addr, name string) uint64 {

@@ -20,7 +20,6 @@ func TestPipelinedPrimaryConvergence(t *testing.T) {
 		Shards:        4,
 		PoolSize:      64 << 20,
 		MaxBatch:      8,
-		BatchWindow:   100 * time.Microsecond,
 		PipelineDepth: 4,
 	})
 	if err != nil {

@@ -53,7 +53,7 @@ func (s *Server) serveSnapshot(id int, ops []Op, results []Result) ([]Result, ui
 	}
 	snap, ok := st.Acquire()
 	if !ok {
-		s.snapFallbacks.Add(1)
+		s.snapFallbacks.Add(uint64(len(ops)))
 		return results, 0, false
 	}
 	for _, op := range ops {

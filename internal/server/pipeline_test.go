@@ -7,29 +7,53 @@ import (
 	"time"
 )
 
-// runSets pushes n single-SET jobs through a fresh server with the given
-// batching/pipelining shape and returns the engine fence and commit deltas.
+// enqueueHeld queues jobs on shard 0 while every worker is parked in a
+// Freeze and releases them together, so the batches the worker then forms
+// depend only on MaxBatch and PipelineDepth — never on how fast the host
+// runs the enqueuer against the worker. len(jobs) must fit the shard queue.
+func enqueueHeld(t *testing.T, s *Server, jobs []*job) {
+	t.Helper()
+	if len(jobs) > cap(s.shards[0].jobs) {
+		t.Fatalf("%d held jobs exceed the shard queue (%d)", len(jobs), cap(s.shards[0].jobs))
+	}
+	err := s.Freeze(func() {
+		for _, j := range jobs {
+			s.shards[0].jobs <- j
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// setJobs builds n single-SET jobs over `keys` distinct keys.
+func setJobs(n, keys int) []*job {
+	jobs := make([]*job, n)
+	for i := range jobs {
+		j := newJob()
+		j.ops = append(j.ops, Op{Kind: OpSet, Key: uint64(i % keys), Arg1: uint64(i)})
+		jobs[i] = j
+	}
+	return jobs
+}
+
+// runSets pushes n single-SET jobs, queued together behind a Freeze, through
+// a fresh one-shard server with the given batching/pipelining shape and
+// returns the engine fence and commit deltas.
 func runSets(t *testing.T, maxBatch, depth, n int) (fences, commits uint64) {
 	t.Helper()
 	s, err := New(Config{
 		Shards:        1,
 		PoolSize:      64 << 20,
 		MaxBatch:      maxBatch,
-		BatchWindow:   time.Millisecond,
 		PipelineDepth: depth,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := s.Counters()
-	jobs := make([]*job, n)
-	for i := range jobs {
-		j := newJob()
-		j.ops = append(j.ops, Op{Kind: OpSet, Key: uint64(i), Arg1: uint64(i)})
-		jobs[i] = j
-		s.shards[0].jobs <- j
-	}
-	s.startWorkers()
+	jobs := setJobs(n, n)
+	enqueueHeld(t, s, jobs)
 	for _, j := range jobs {
 		<-j.done
 	}
@@ -79,25 +103,18 @@ func TestParkedSpeculativeReplies(t *testing.T) {
 		Shards:        1,
 		PoolSize:      64 << 20,
 		MaxBatch:      8,
-		BatchWindow:   time.Millisecond,
 		PipelineDepth: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	beforeStats, _, _ := s.shards[0].published()
-	// Below the shard queue's capacity, so the whole load enqueues before
-	// the worker starts and coalesces deterministically.
-	const n = 60
-	jobs := make([]*job, n)
-	for i := range jobs {
-		j := newJob()
-		j.ops = append(j.ops, Op{Kind: OpSet, Key: uint64(i % 7), Arg1: uint64(i)})
-		jobs[i] = j
-		s.shards[0].jobs <- j
-	}
 	s.startWorkers()
+	beforeStats, _, _ := s.shards[0].published()
+	// The whole load is queued before the worker is released, so it
+	// coalesces deterministically.
+	jobs := setJobs(60, 7)
+	enqueueHeld(t, s, jobs)
 	for _, j := range jobs {
 		<-j.done
 		if len(j.results) != 1 || j.results[0].Status != StatusOK {
@@ -136,7 +153,6 @@ func TestBinaryPipelinedLoopback(t *testing.T) {
 		Engine:        "SpecSPMT",
 		Shards:        4,
 		MaxBatch:      8,
-		BatchWindow:   100 * time.Microsecond,
 		PipelineDepth: 4,
 	})
 	const conns, rounds, window = 8, 120, 16
@@ -274,7 +290,6 @@ func TestPipelinedCrossShardDrain(t *testing.T) {
 		Engine:        "SpecSPMT",
 		Shards:        4,
 		MaxBatch:      8,
-		BatchWindow:   100 * time.Microsecond,
 		PipelineDepth: 4,
 	})
 	c, err := DialProto(addr, 5*time.Second, "binary")

@@ -36,13 +36,10 @@ type Config struct {
 	Shards int
 	// PoolSize is the persistent pool size in bytes (default 256 MiB).
 	PoolSize int
-	// MaxBatch caps the requests one group commit coalesces. <= 1 disables
-	// batching (every request commits its own transaction). Default 32.
+	// MaxBatch caps the requests one group commit coalesces; a worker never
+	// waits to reach it. <= 1 disables batching (every request commits its
+	// own transaction). Default 32.
 	MaxBatch int
-	// BatchWindow is how long a worker waits for more requests once its
-	// queue runs dry before committing a non-full batch. 0 commits whatever
-	// is already queued without waiting. Default 200µs.
-	BatchWindow time.Duration
 	// PipelineDepth enables pipelined speculative group commit when > 1: a
 	// shard worker commits up to PipelineDepth batches with their commit
 	// fence deferred (txn.DeferredCommitTx), parks their replies, then
@@ -148,9 +145,6 @@ func (cfg *Config) fillDefaults() error {
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = 32
 	}
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = 200 * time.Microsecond
-	}
 	if cfg.PipelineDepth == 0 {
 		cfg.PipelineDepth = 1
 	}
@@ -255,6 +249,10 @@ type Server struct {
 	frozenMask atomic.Uint64
 
 	readOnly atomic.Bool
+
+	// dispatching counts binary handlers part-way through enqueueing a
+	// window they have read; see collectBatch.
+	dispatching atomic.Int64
 
 	// pipelined is PipelineDepth > 1 (immutable after New): the workers
 	// park speculative batches and per-shard retirers publish them.

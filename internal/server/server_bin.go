@@ -86,6 +86,9 @@ func (s *Server) handleBinary(c net.Conn, br *bufio.Reader, bw *bufio.Writer, co
 		}
 		pend = pend[:0]
 		nj := 0
+		// Workers hold their batches open until the whole window is enqueued
+		// (collectBatch); nothing between the Add and its undo returns.
+		s.dispatching.Add(1)
 		ferr := s.binDispatch(payload, &pend, &jobs, &nj)
 		// Opportunistic window fill: only frames already buffered — the
 		// handler never blocks on the socket while replies are owed.
@@ -96,6 +99,7 @@ func (s *Server) handleBinary(c net.Conn, br *bufio.Reader, bw *bufio.Writer, co
 			}
 			ferr = s.binDispatch(payload, &pend, &jobs, &nj)
 		}
+		s.dispatching.Add(-1)
 		// Await the window's jobs in order and encode their replies; this
 		// must complete even on a poisoned stream so every acquired
 		// in-flight slot is released.
@@ -198,7 +202,7 @@ func (s *Server) binDispatch(payload []byte, pend *[]binPending, jobs *[]*job, n
 				break
 			}
 		}
-		if !queuedAhead && len(shards) == 1 && !hasWrite(j.ops) {
+		if s.mvccOn && len(shards) == 1 && !hasWrite(j.ops) {
 			// Snapshot fast path: single-shard all-GET frames are served
 			// lock-free from the shard's MVCC store, never entering the
 			// worker queue. Only when nothing earlier in this window was
@@ -206,9 +210,12 @@ func (s *Server) binDispatch(payload []byte, pend *[]binPending, jobs *[]*job, n
 			// visible (read-your-writes), and even a queued read may park
 			// behind speculative state newer than the snapshot — serving
 			// out of order would let this connection read backwards in
-			// time. j stays in the freelist (*nj is not advanced); its
-			// results slice is only scratch for the encode below.
-			if results, _, ok := s.serveSnapshot(shards[0], j.ops, j.results[:0]); ok {
+			// time. Such a diversion counts as a snapshot fallback. j stays
+			// in the freelist (*nj is not advanced); its results slice is
+			// only scratch for the encode below.
+			if queuedAhead {
+				s.snapFallbacks.Add(uint64(len(j.ops)))
+			} else if results, _, ok := s.serveSnapshot(shards[0], j.ops, j.results[:0]); ok {
 				j.results = results
 				for _, op := range j.ops {
 					s.opCounts[op.Kind].Add(1)

@@ -209,47 +209,14 @@ func TestCASLinearizable(t *testing.T) {
 
 // TestGroupCommitFewerFences pins the batching claim: the same 40 SETs
 // cost far fewer fences per write under group commit than with batching
-// disabled. Jobs are pre-enqueued before the workers start, so both runs
-// batch deterministically.
+// disabled. The jobs are queued together behind a Freeze (runSets), so both
+// runs batch deterministically.
 func TestGroupCommitFewerFences(t *testing.T) {
-	fences := func(maxBatch int) (fences, sets uint64) {
-		s, err := New(Config{
-			Shards:      1,
-			PoolSize:    64 << 20,
-			MaxBatch:    maxBatch,
-			BatchWindow: time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := s.Counters()
-		const n = 40
-		jobs := make([]*job, n)
-		for i := range jobs {
-			j := newJob()
-			j.ops = append(j.ops, Op{Kind: OpSet, Key: uint64(i), Arg1: uint64(i)})
-			jobs[i] = j
-			s.shards[0].jobs <- j
-		}
-		s.startWorkers()
-		for _, j := range jobs {
-			<-j.done
-		}
-		for _, j := range jobs {
-			if len(j.results) != 1 || j.results[0].Status != StatusOK {
-				t.Fatalf("maxBatch=%d: bad result %+v", maxBatch, j.results)
-			}
-		}
-		after := s.Counters()
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return after.Fences - before.Fences, n
-	}
-	batchedFences, n := fences(64)
-	unbatchedFences, _ := fences(1)
+	const n = 40
+	batchedFences, _ := runSets(t, 64, 1, n)
+	unbatchedFences, _ := runSets(t, 1, 1, n)
 	t.Logf("fences per SET: batched=%.2f unbatched=%.2f",
-		float64(batchedFences)/float64(n), float64(unbatchedFences)/float64(n))
+		float64(batchedFences)/n, float64(unbatchedFences)/n)
 	if unbatchedFences < n {
 		t.Fatalf("unbatched run must fence at least once per SET, got %d/%d", unbatchedFences, n)
 	}

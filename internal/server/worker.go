@@ -1,9 +1,9 @@
 package server
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"specpmt"
 	"specpmt/internal/mvcc"
@@ -220,8 +220,8 @@ type multiJob struct {
 	published sync.WaitGroup
 }
 
-// runWorker is a shard worker's main loop: take one job, opportunistically
-// coalesce more into a group commit, execute, reply. With pipelining on,
+// runWorker is a shard worker's main loop: take one job, coalesce whatever
+// else is queued into a group commit, execute, reply. With pipelining on,
 // runBatch parks speculative batches instead of replying, and the loop
 // retires them — one coalescing fence, then FIFO hand-off to the retirer —
 // whenever the window fills or the queue runs dry.
@@ -380,22 +380,23 @@ func (s *Server) retireAndDrain(sh *shard) {
 	<-r.sync
 }
 
-// collectBatch greedily drains the queue up to MaxBatch jobs, then — if a
-// batch window is configured — keeps listening for the window before
-// giving up. A cross-shard job ends collection (it needs the barrier
-// protocol) and is returned separately.
+// collectBatch drains the queue into batch, up to MaxBatch jobs, and returns
+// the moment the queue is dry: coalescing comes from overlap — what arrived
+// while the worker or a connection's previous window was busy — never from
+// waiting (DESIGN.md §4d). Two rules keep "dry" honest without a clock:
+// (1) the queue is not dry while a binary handler is still dispatching a
+// window it has already read, unless that handler may itself be blocked on
+// the workers (in-flight gate full, a shard frozen at admission); (2) the
+// worker yields once before going dry, so a handler the netpoller has
+// already made runnable enqueues first. A cross-shard job ends collection
+// (it needs the barrier protocol) and is returned separately.
 func (s *Server) collectBatch(sh *shard, batch []*job) ([]*job, *job) {
-	max := s.cfg.MaxBatch
-	if max <= 1 {
-		return batch, nil
-	}
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for len(batch) < max {
+	yielded := false
+	for len(batch) < s.cfg.MaxBatch {
+		// Read before the queue is polled: a handler seen finished here has
+		// enqueued its whole window, so the poll cannot miss part of it.
+		moreComing := s.dispatching.Load() > 0 &&
+			len(s.inflight) < cap(s.inflight) && s.frozenMask.Load() == 0
 		select {
 		case j, ok := <-sh.jobs:
 			if !ok {
@@ -405,26 +406,16 @@ func (s *Server) collectBatch(sh *shard, batch []*job) ([]*job, *job) {
 				return batch, j
 			}
 			batch = append(batch, j)
+			continue
 		default:
-			if s.cfg.BatchWindow <= 0 {
-				return batch, nil
-			}
-			if timer == nil {
-				timer = time.NewTimer(s.cfg.BatchWindow)
-			}
-			select {
-			case j, ok := <-sh.jobs:
-				if !ok {
-					return batch, nil
-				}
-				if j.multi != nil {
-					return batch, j
-				}
-				batch = append(batch, j)
-			case <-timer.C:
-				return batch, nil
-			}
 		}
+		if !moreComing {
+			if yielded {
+				return batch, nil
+			}
+			yielded = true
+		}
+		runtime.Gosched()
 	}
 	return batch, nil
 }
