@@ -6,8 +6,7 @@
 //	specpmt-server [-addr host:port] [-engine spec|undo|hashlog|...]
 //	               [-profile optane-adr|...] [-shards n] [-pool-size bytes]
 //	               [-max-batch n] [-max-conns n]
-//	               [-max-inflight n] [-pipeline-depth n]
-//	               [-proto auto|text|binary]
+//	               [-max-inflight n] [-proto auto|text|binary]
 //	               [-admin host:port] [-log-format text|json] [-log-level l]
 //	               [-slow-op d] [-span-buf n]
 //	               [-replicate-to host:port] [-repl-sync async|ack]
@@ -78,7 +77,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 32, "cap on requests per group commit; a worker commits what is queued and never waits to fill it (<=1 disables batching)")
 	maxConns := flag.Int("max-conns", 256, "max concurrent connections")
 	maxInFlight := flag.Int("max-inflight", 1024, "max requests admitted to worker queues")
-	pipelineDepth := flag.Int("pipeline-depth", 1, "speculative group-commit pipeline depth: batches a shard may execute past an unretired commit fence (1 disables pipelining)")
 	mvccOn := flag.Bool("mvcc", true, "serve GETs and read-only MULTIs lock-free from MVCC snapshots instead of the worker queues")
 	proto := flag.String("proto", "auto", "accepted wire protocols: auto (both), text, binary")
 	adminAddr := flag.String("admin", "", "admin HTTP listen address (/metrics, /healthz, /readyz, /debug/spans, /debug/pprof); empty disables")
@@ -184,7 +182,6 @@ func main() {
 		MaxInFlight: *maxInFlight,
 		Obs:         plane,
 
-		PipelineDepth:  *pipelineDepth,
 		NoMVCC:         !*mvccOn,
 		Proto:          *proto,
 		CompactEvery:   *compactEvery,

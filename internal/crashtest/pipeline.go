@@ -12,21 +12,22 @@ import (
 // SpecPipelineEngine is the Report.Engine tag of RunSpecPipeline runs.
 const SpecPipelineEngine = "SpecSPMT/pipeline"
 
-// RunSpecPipeline tortures the commit pattern the server's pipelined group
-// commit is built on: runs of transactions committed speculatively with
-// CommitNoFence, retired in windows by a single coalescing Thread.Fence,
-// with a power failure injected at a random point — possibly with a window
-// of unretired speculative commits outstanding, possibly mid-transaction.
+// RunSpecPipeline tortures the engine's deferred-commit pattern (DESIGN.md
+// §4d): runs of transactions committed speculatively with CommitNoFence,
+// retired in windows by a single coalescing Thread.Fence, with a power
+// failure injected at a random point — possibly with a window of unretired
+// speculative commits outstanding, possibly mid-transaction.
 //
-// The data oracle is the acknowledgment rule the server enforces (a reply
-// is published only after its window's fence retires), expressed as a
-// recovery.Prefix checker: after recovery the surviving state must be
+// The data oracle is the acknowledgment rule a CommitNoFence caller must
+// keep (a commit is acknowledged only after its window's fence retires),
+// expressed as a recovery.Prefix checker: after recovery the surviving
+// state must be
 //
 //   - a PREFIX of the speculative commit history — some cut C where every
 //     cell holds exactly its value as of commit C (no torn transactions, no
 //     gaps where a later commit survived an earlier one's loss), and
 //   - no shorter than the last retired fence — every commit whose fence
-//     retired before the crash (i.e. everything the server would have
+//     retired before the crash (i.e. everything the caller would have
 //     acknowledged) must have survived.
 //
 // Commits past the fence floor are allowed to vanish: they were

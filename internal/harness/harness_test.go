@@ -372,3 +372,49 @@ func TestThreadedSpecScaling(t *testing.T) {
 	}
 	t.Logf("1->4 thread throughput scaling: SpecSPMT x%.2f, SpecSPMT-DP x%.2f", scale, dpScale)
 }
+
+// TestCommitFenceCounts pins each engine's commit-path fence shape from the
+// run's counters. A 300-transaction run is differenced against a
+// one-transaction run of the same workload, which nets out the fences the
+// engine issues once at set-up (log initialisation). Speculative logging
+// then issues exactly one fence per commit and every fence orders at least
+// one flush; undo logging fences more than once per commit — the overhead
+// Figure 2 measures and SpecPMT removes.
+func TestCommitFenceCounts(t *testing.T) {
+	p := stamp.Profiles()[0]
+	cases := []struct {
+		engine string
+		check  func(t *testing.T, fences, flushes, commits uint64)
+	}{
+		{"SpecSPMT", func(t *testing.T, fences, flushes, commits uint64) {
+			if fences != commits {
+				t.Errorf("%d fences for %d commits, want exactly one per commit", fences, commits)
+			}
+			if flushes < fences {
+				t.Errorf("%d flushes below %d fences: a fence orders nothing", flushes, fences)
+			}
+		}},
+		{"PMDK", func(t *testing.T, fences, _, commits uint64) {
+			if fences <= commits {
+				t.Errorf("%d fences for %d commits, want more than one per commit", fences, commits)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.engine, func(t *testing.T) {
+			one, err := RunSoftwareOpt(c.engine, p, 1, 7, ScenarioConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := RunSoftwareOpt(c.engine, p, 300, 7, ScenarioConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			commits := r.Stats.TxCommitted - one.Stats.TxCommitted
+			if commits != 299 {
+				t.Fatalf("%d commits, want 299", commits)
+			}
+			c.check(t, r.Stats.Fences-one.Stats.Fences, r.Stats.Flushes-one.Stats.Flushes, commits)
+		})
+	}
+}

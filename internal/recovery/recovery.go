@@ -28,9 +28,9 @@
 //     (pmalloc.Heap.RecoveryError).
 //   - Cells (basic crashtest): every fully committed cell write survives
 //     with exactly its committed value.
-//   - Prefix (pipelined group commit): the recovered state equals some
+//   - Prefix (deferred commit fences): the recovered state equals some
 //     prefix of the speculative commit history at or past the last retired
-//     fence — the server's acknowledgment rule.
+//     fence — the acknowledgment rule for CommitNoFence callers.
 //   - KV (hashmap via server): the recovered key/value set equals the
 //     committed oracle, the map validates structurally, and any in-progress
 //     old table is whole (hashmap.Map.CheckRecovered).
@@ -249,7 +249,7 @@ func (c *CellsChecker) Check() error {
 	return nil
 }
 
-// PrefixChecker verifies pipelined (speculative) group commit: the
+// PrefixChecker verifies deferred (speculative) commit fences: the
 // recovered state must equal some prefix of the speculative commit history
 // at or past the last retired fence. Commits past the fence floor may
 // vanish — they were never acknowledged — but no torn transactions and no

@@ -394,9 +394,19 @@ func TestStatsHookOnPrimary(t *testing.T) {
 		}
 	}
 	waitApplied(t, replica, primary)
-	nums, _, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	// The replica applies a record before its ack reaches the primary, so
+	// quiesce means the ack is back too: poll until it is, or time out.
+	var nums map[string]uint64
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		var err error
+		if nums, _, err = c.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		if nums["repl_min_acked_lsn"] == nums["repl_head_lsn"] || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 	if nums["repl_role_primary"] != 1 || nums["repl_replicas"] != 1 || nums["repl_streaming"] != 1 {
 		t.Fatalf("primary stats: %v", nums)

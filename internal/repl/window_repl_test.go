@@ -8,19 +8,18 @@ import (
 	"specpmt/internal/server"
 )
 
-// TestPipelinedPrimaryConvergence replicates from a primary running the
-// binary protocol with depth-4 speculative pipelining. The retirer publishes
-// every batch's writes to the replication log only after its retire fence,
-// in commit order, so the replica must converge byte-for-byte even though
-// the primary acknowledged whole windows of writes with coalesced fences —
-// and the applied LSN must land exactly on the primary's head.
-func TestPipelinedPrimaryConvergence(t *testing.T) {
+// TestWindowedPrimaryConvergence replicates from a primary serving binary
+// clients that keep windows of writes in flight. Each shard worker publishes
+// a group commit's writes to the replication log after its commit fence, in
+// commit order, so the replica must converge byte-for-byte even though the
+// primary acknowledged whole windows of writes per group commit — and the
+// applied LSN must land exactly on the primary's head.
+func TestWindowedPrimaryConvergence(t *testing.T) {
 	primSrv, err := server.New(server.Config{
-		Engine:        "SpecSPMT",
-		Shards:        4,
-		PoolSize:      64 << 20,
-		MaxBatch:      8,
-		PipelineDepth: 4,
+		Engine:   "SpecSPMT",
+		Shards:   4,
+		PoolSize: 64 << 20,
+		MaxBatch: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +40,8 @@ func TestPipelinedPrimaryConvergence(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 
-	// Pre-replica history through the pipelined path: windows of SETs kept
-	// in flight so whole speculative windows retire together.
+	// Pre-replica history: windows of SETs kept in flight so whole windows
+	// group-commit together.
 	inflight := 0
 	drain := func(n int) {
 		for ; n > 0; n-- {
@@ -67,7 +66,7 @@ func TestPipelinedPrimaryConvergence(t *testing.T) {
 	waitApplied(t, replica, primary)
 
 	// Post-connect history the replica must tail live: overwrites, deletes,
-	// and cross-shard MULTIs interleaved with pipelined windows.
+	// and cross-shard MULTIs interleaved with windowed SETs.
 	for k := uint64(0); k < keys; k += 2 {
 		if err := c.SendOp(server.Op{Kind: server.OpSet, Key: k, Arg1: k + 500_000}); err != nil {
 			t.Fatal(err)

@@ -354,3 +354,34 @@ func TestBlockedDispatcherDoesNotHoldBatches(t *testing.T) {
 		}
 	})
 }
+
+// TestWindowLargerThanInFlightGate is the regression test for the in-flight
+// slot deadlock: a binary handler holds its window's slots until the whole
+// window is answered, so a handler that blocked on the gate while holding
+// slots waited for itself. A window may wait for a slot only while it holds
+// none; a later frame that finds no slot free ends the window and leads the
+// next one. Here one 8-frame window meets a 4-slot gate.
+func TestWindowLargerThanInFlightGate(t *testing.T) {
+	s, err := New(Config{Shards: 2, PoolSize: 64 << 20, MaxInFlight: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := pipeClient(t, s)
+	keys := seqKeys(8)
+	done := make(chan error, 1)
+	go func() { done <- burst(c, keys, 1) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%d-frame window against a %d-slot gate: replies never arrived", len(keys), cap(s.inflight))
+	}
+	for _, k := range keys {
+		if r, err := c.Get(k); err != nil || r.Status != StatusValue || r.Val != 1 {
+			t.Fatalf("GET %d after the window: %+v %v", k, r, err)
+		}
+	}
+}

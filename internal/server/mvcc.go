@@ -8,11 +8,11 @@ import (
 )
 
 // MVCC snapshot reads: every shard owns a volatile mvcc.Store of versioned
-// values. The publish points (the retirer in pipelined mode, the worker's
-// inline publish otherwise) install each committed transaction's effective
-// writes at its replication LSN and advance the shard's watermark, so a
-// snapshot acquired at the watermark sees exactly the published prefix of
-// the commit order — never speculative state. GETs and single-shard
+// values. The publish point after each commit (publishBatch) installs the
+// committed transaction's effective writes at its replication LSN and
+// advances the shard's watermark, so a snapshot acquired at the watermark
+// sees exactly the published prefix of the commit order — never a write
+// whose transaction has not committed. GETs and single-shard
 // read-only MULTIs are then served lock-free from the snapshot without
 // entering the shard worker queue. Cross-shard read-only MULTIs stay on the
 // queued path: per-shard watermarks advance independently, so no pair of
@@ -124,8 +124,8 @@ func (s *Server) waitPublished(token uint64) (uint64, bool) {
 // published at (0 when there were none); internal jobs carry their own LSN
 // in pubLSN (0 marks an unstamped internal write — migration applies,
 // bootstrap batches — which makes the store stale instead of installing).
-// Runs on the publishing goroutine (worker or retirer) after commit and
-// before replies release, so read-your-writes holds the moment a client
+// Runs on the goroutine that committed the batch, after commit and before
+// replies release, so read-your-writes holds the moment a client
 // sees its write acknowledged.
 func (s *Server) installBatch(batch []*job, extLSN uint64) {
 	var maxLSN uint64
@@ -199,8 +199,8 @@ func (s *Server) installBatch(batch []*job, extLSN uint64) {
 // surviving pair reseeds as a base version at LSN 0, the watermark is
 // preserved (a snapshot at the old watermark reads the base state, which by
 // construction includes every write published up to it), and the stale flag
-// clears. Callers must hold the shard quiesced: its worker between jobs
-// with the retirer drained, a Freeze callback, or the post-Crash window.
+// clears. Callers must hold the shard quiesced: its worker between jobs, a
+// Freeze callback, or the post-Crash window.
 func (s *Server) rebuildStore(sh *shard) {
 	if !s.mvccOn {
 		return

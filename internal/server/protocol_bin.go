@@ -110,20 +110,27 @@ func readFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 	return b, nil
 }
 
-// frameBuffered reports whether a complete frame already sits in br's
-// buffer, i.e. whether readFrame is guaranteed not to block. A buffered but
-// invalid length prefix counts as "buffered" so readFrame can surface the
-// error.
-func frameBuffered(br *bufio.Reader) bool {
+// peekFrame returns the next frame's payload and its length on the wire
+// without consuming it, when the whole frame already sits in br's buffer —
+// it never blocks. payload is nil when no complete frame is buffered; a
+// buffered but invalid length prefix is an error. The payload aliases br's
+// buffer and is valid until the next read; br.Discard(n) consumes the frame.
+func peekFrame(br *bufio.Reader) (payload []byte, n int, err error) {
 	if br.Buffered() < frameHdrLen {
-		return false
+		return nil, 0, nil
 	}
 	hdr, _ := br.Peek(frameHdrLen)
-	n := int(binary.LittleEndian.Uint32(hdr))
-	if n == 0 || n > MaxFrameLen {
-		return true
+	size := int(binary.LittleEndian.Uint32(hdr))
+	switch {
+	case size == 0:
+		return nil, 0, errBadFrame
+	case size > MaxFrameLen:
+		return nil, 0, errFrameTooLarge
+	case br.Buffered() < frameHdrLen+size:
+		return nil, 0, nil
 	}
-	return br.Buffered() >= frameHdrLen+n
+	b, _ := br.Peek(frameHdrLen + size)
+	return b[frameHdrLen:], frameHdrLen + size, nil
 }
 
 // opWireLen returns the packed size of one op (0 for an unknown kind).

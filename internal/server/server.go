@@ -40,16 +40,6 @@ type Config struct {
 	// waits to reach it. <= 1 disables batching (every request commits its
 	// own transaction). Default 32.
 	MaxBatch int
-	// PipelineDepth enables pipelined speculative group commit when > 1: a
-	// shard worker commits up to PipelineDepth batches with their commit
-	// fence deferred (txn.DeferredCommitTx), parks their replies, then
-	// issues ONE coalescing retire fence for the whole window and hands it
-	// to a per-shard retirer goroutine that publishes replication writes
-	// and releases replies in commit order. Execution of batch N+1 overlaps
-	// the fence/replication drain of batch N, and fences-per-op drops by up
-	// to another factor of PipelineDepth on top of group commit. 0 or 1
-	// keeps the synchronous commit path. Default 1.
-	PipelineDepth int
 	// Proto selects which wire protocols the listener accepts: "auto"
 	// (default) serves text and, after the 0xB1 version byte, binary;
 	// "text" rejects the binary version byte; "binary" requires it as the
@@ -144,12 +134,6 @@ func (cfg *Config) fillDefaults() error {
 	}
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = 32
-	}
-	if cfg.PipelineDepth == 0 {
-		cfg.PipelineDepth = 1
-	}
-	if cfg.PipelineDepth < 1 || cfg.PipelineDepth > 64 {
-		return fmt.Errorf("server: pipeline depth must be 1..64")
 	}
 	if cfg.Proto == "" {
 		cfg.Proto = "auto"
@@ -254,10 +238,6 @@ type Server struct {
 	// window they have read; see collectBatch.
 	dispatching atomic.Int64
 
-	// pipelined is PipelineDepth > 1 (immutable after New): the workers
-	// park speculative batches and per-shard retirers publish them.
-	pipelined bool
-
 	// MVCC snapshot reads (mvcc.go). mvccOn is !cfg.NoMVCC (immutable
 	// after New); pub is the published-LSN watermark GETAT tokens wait on;
 	// lsnClock mints LSNs for unreplicated batches.
@@ -288,7 +268,6 @@ type Server struct {
 	movedOps    atomic.Uint64
 	frozenWaits atomic.Uint64
 	slowOps     atomic.Uint64
-	specAborts  atomic.Uint64
 	binConns    atomic.Uint64
 	binFrames   atomic.Uint64
 
@@ -363,11 +342,10 @@ func New(cfg Config) (*Server, error) {
 		s.reg = obs.NewRegistry()
 	}
 	s.stamps = s.rec != nil || s.slowNs > 0
-	s.pipelined = cfg.PipelineDepth > 1
 	s.mvccOn = !cfg.NoMVCC
 	s.pub = mvcc.NewWatermark()
 	for i := 0; i < cfg.Shards; i++ {
-		sh, err := newShard(pool, i, cfg.MaxBatch, cfg.PipelineDepth)
+		sh, err := newShard(pool, i, cfg.MaxBatch)
 		if err != nil {
 			pool.Close()
 			return nil, fmt.Errorf("server: shard %d: %w", i, err)
@@ -546,13 +524,6 @@ func (s *Server) startWorkers() {
 				defer s.workerWG.Done()
 				s.runWorker(sh)
 			}(sh)
-			if sh.retireq != nil {
-				s.workerWG.Add(1)
-				go func(sh *shard) {
-					defer s.workerWG.Done()
-					s.runRetirer(sh)
-				}(sh)
-			}
 		}
 		if s.cfg.CompactEvery > 0 {
 			s.workerWG.Add(1)
@@ -1092,6 +1063,16 @@ func (s *Server) acquire() bool {
 	}
 }
 
+// tryAcquire takes an in-flight slot only if one is free.
+func (s *Server) tryAcquire() bool {
+	select {
+	case s.inflight <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
 func (s *Server) release() { <-s.inflight }
 
 func (s *Server) execSingle(c net.Conn, bw *bufio.Writer, co *connObs, j *job, op Op, replyBuf *[]byte) bool {
@@ -1363,10 +1344,6 @@ func (s *Server) registerMetrics() {
 	r.Family("specpmt_pm_log_bytes", "bytes of engine log writes", obs.KindCounter)
 	r.Family("specpmt_pm_data_bytes", "bytes of in-place data-structure writes", obs.KindCounter)
 	r.Family("specpmt_log_records", "engine log records appended", obs.KindCounter)
-	r.Family("specpmt_pipeline_depth", "live auto-tuned pipeline window depth, mean across shards (1 = off)", obs.KindGauge)
-	r.Family("specpmt_pipeline_depth_cap", "configured speculative commit pipeline depth ceiling", obs.KindGauge)
-	r.Family("specpmt_parked_now", "replies currently parked behind an unretired fence", obs.KindGauge)
-	r.Family("specpmt_spec_aborts", "speculative batch commits aborted and replayed", obs.KindCounter)
 	r.Family("specpmt_bin_conns", "connections that negotiated the binary protocol", obs.KindCounter)
 	r.Family("specpmt_bin_frames", "binary request frames decoded", obs.KindCounter)
 	r.Family("specpmt_mvcc_enabled", "1 while the MVCC snapshot-read subsystem is on", obs.KindGauge)
@@ -1391,7 +1368,6 @@ func (s *Server) registerMetrics() {
 	r.Family("specpmt_commit_ns", "wall-clock group-commit latency in ns, per shard", obs.KindHistogram)
 	r.Family("specpmt_batch_jobs", "jobs per group commit, per shard", obs.KindHistogram)
 	r.Family("specpmt_queue_depth", "jobs still queued at batch start, per shard", obs.KindHistogram)
-	r.Family("specpmt_parked_replies", "replies released per retire fence, per shard", obs.KindHistogram)
 
 	r.Collect(s.collectMetrics)
 	r.Collect(func(emit func(obs.Sample)) {
@@ -1459,19 +1435,6 @@ func (s *Server) collectMetrics(emit func(obs.Sample)) {
 	scalar("specpmt_frozen_shards", "frozen_shards", uint64(bits.OnesCount64(s.frozenMask.Load())))
 	scalar("specpmt_frozen_waits", "frozen_waits", s.frozenWaits.Load())
 	scalar("specpmt_slow_ops", "slow_ops", s.slowOps.Load())
-	var parkedNow, depthSum int64
-	for _, sh := range s.shards {
-		parkedNow += sh.parked.Load()
-		depthSum += sh.depth.Load()
-	}
-	liveDepth := uint64(1)
-	if n := int64(len(s.shards)); n > 0 {
-		liveDepth = uint64((depthSum + n/2) / n)
-	}
-	scalar("specpmt_pipeline_depth", "pipeline_depth", liveDepth)
-	scalar("specpmt_pipeline_depth_cap", "pipeline_depth_cap", uint64(s.cfg.PipelineDepth))
-	scalar("specpmt_parked_now", "parked_now", uint64(parkedNow))
-	scalar("specpmt_spec_aborts", "spec_aborts", s.specAborts.Load())
 	scalar("specpmt_bin_conns", "bin_conns", s.binConns.Load())
 	scalar("specpmt_bin_frames", "bin_frames", s.binFrames.Load())
 	scalar("specpmt_mvcc_enabled", "mvcc_enabled", boolStat(s.mvccOn))
@@ -1525,7 +1488,6 @@ func (s *Server) collectMetrics(emit func(obs.Sample)) {
 		emit(obs.Sample{Family: "specpmt_commit_ns", Label: obs.ShardLabel(i), Hist: sh.commitNs.Snapshot()})
 		emit(obs.Sample{Family: "specpmt_batch_jobs", Label: obs.ShardLabel(i), Hist: sh.batchJobs.Snapshot()})
 		emit(obs.Sample{Family: "specpmt_queue_depth", Label: obs.ShardLabel(i), Hist: sh.queueDepth.Snapshot()})
-		emit(obs.Sample{Family: "specpmt_parked_replies", Label: obs.ShardLabel(i), Hist: sh.parkedHist.Snapshot()})
 	}
 }
 

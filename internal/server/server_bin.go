@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"sync"
 	"time"
@@ -14,10 +15,15 @@ import (
 // dispatched to the shard workers before any reply is awaited.
 const maxConnWindow = 64
 
-// binBufPool recycles per-connection frame read buffers: a frame is decoded
-// in place out of this buffer (ops are fixed-width loads, nothing is
-// copied), and the buffer is reused for the next frame the moment the ops
-// are staged on the job.
+// errWindowFull ends a window early: a buffered frame needs an in-flight
+// slot and none is free. It is not a stream error.
+var errWindowFull = errors.New("no in-flight slot free")
+
+// binBufPool recycles per-connection frame read buffers: a window's first
+// frame is decoded in place out of this buffer (ops are fixed-width loads,
+// nothing is copied; later frames are decoded out of the reader's own
+// buffer, see peekFrame), and the buffer is reused for the next frame the
+// moment the ops are staged on the job.
 var binBufPool = sync.Pool{New: func() any { b := make([]byte, 4096); return &b }}
 
 // binPending is one in-flight request of a binary connection's window, in
@@ -86,20 +92,33 @@ func (s *Server) handleBinary(c net.Conn, br *bufio.Reader, bw *bufio.Writer, co
 		}
 		pend = pend[:0]
 		nj := 0
+		frames := uint64(1)
 		// Workers hold their batches open until the whole window is enqueued
 		// (collectBatch); nothing between the Add and its undo returns.
 		s.dispatching.Add(1)
 		ferr := s.binDispatch(payload, &pend, &jobs, &nj)
 		// Opportunistic window fill: only frames already buffered — the
-		// handler never blocks on the socket while replies are owed.
-		for ferr == nil && len(pend) < maxConnWindow && frameBuffered(br) {
-			if payload, err = readFrame(br, fbp); err != nil {
+		// handler never blocks on the socket while replies are owed, nor on
+		// the in-flight gate while it holds slots: a frame that finds no slot
+		// free stays buffered and leads the next window instead.
+		for ferr == nil && len(pend) < maxConnWindow {
+			next, n, err := peekFrame(br)
+			if err != nil {
 				ferr = err
 				break
 			}
-			ferr = s.binDispatch(payload, &pend, &jobs, &nj)
+			if next == nil {
+				break
+			}
+			if ferr = s.binDispatch(next, &pend, &jobs, &nj); ferr == errWindowFull {
+				ferr = nil
+				break
+			}
+			br.Discard(n)
+			frames++
 		}
 		s.dispatching.Add(-1)
+		s.binFrames.Add(frames)
 		// Await the window's jobs in order and encode their replies; this
 		// must complete even on a poisoned stream so every acquired
 		// in-flight slot is released.
@@ -135,14 +154,17 @@ func (s *Server) handleBinary(c net.Conn, br *bufio.Reader, bw *bufio.Writer, co
 }
 
 // binDispatch decodes one frame and either dispatches its job to the shard
-// workers or stages an inline reply. A non-nil return poisons the stream
+// workers or stages an inline reply. Dispatch takes an in-flight slot, which
+// is released only once the whole window is answered: while the window
+// holds none (*nj == 0) the frame may wait for one, after that it takes a
+// slot only if one is free and otherwise returns errWindowFull having
+// changed nothing. Any other non-nil return poisons the stream
 // (framing-level violation); application-level failures become ERR reply
 // frames and return nil.
 func (s *Server) binDispatch(payload []byte, pend *[]binPending, jobs *[]*job, nj *int) error {
 	if len(payload) == 0 {
 		return errBadFrame
 	}
-	s.binFrames.Add(1)
 	p := growPending(pend)
 	switch payload[0] {
 	case binFPing:
@@ -202,19 +224,20 @@ func (s *Server) binDispatch(payload []byte, pend *[]binPending, jobs *[]*job, n
 				break
 			}
 		}
+		diverted := false
 		if s.mvccOn && len(shards) == 1 && !hasWrite(j.ops) {
 			// Snapshot fast path: single-shard all-GET frames are served
 			// lock-free from the shard's MVCC store, never entering the
 			// worker queue. Only when nothing earlier in this window was
 			// dispatched to a worker: a queued write ahead of us must be
-			// visible (read-your-writes), and even a queued read may park
-			// behind speculative state newer than the snapshot — serving
-			// out of order would let this connection read backwards in
-			// time. Such a diversion counts as a snapshot fallback. j stays
-			// in the freelist (*nj is not advanced); its results slice is
-			// only scratch for the encode below.
+			// visible (read-your-writes), and a queued read ahead of us
+			// would see newer state than a snapshot read behind it —
+			// serving out of order would let this connection read
+			// backwards in time. Such a diversion counts as a snapshot
+			// fallback. j stays in the freelist (*nj is not advanced); its
+			// results slice is only scratch for the encode below.
 			if queuedAhead {
-				s.snapFallbacks.Add(uint64(len(j.ops)))
+				diverted = true
 			} else if results, _, ok := s.serveSnapshot(shards[0], j.ops, j.results[:0]); ok {
 				j.results = results
 				for _, op := range j.ops {
@@ -231,8 +254,16 @@ func (s *Server) binDispatch(payload []byte, pend *[]binPending, jobs *[]*job, n
 		if s.stamps {
 			p.t0 = s.nowNs()
 		}
-		if !s.acquire() {
-			return ErrClosed
+		if *nj == 0 {
+			if !s.acquire() {
+				return ErrClosed
+			}
+		} else if !s.tryAcquire() {
+			*pend = (*pend)[:len(*pend)-1]
+			return errWindowFull
+		}
+		if diverted {
+			s.snapFallbacks.Add(uint64(len(j.ops)))
 		}
 		*nj++
 		for _, op := range j.ops {

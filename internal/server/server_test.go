@@ -213,8 +213,8 @@ func TestCASLinearizable(t *testing.T) {
 // runs batch deterministically.
 func TestGroupCommitFewerFences(t *testing.T) {
 	const n = 40
-	batchedFences, _ := runSets(t, 64, 1, n)
-	unbatchedFences, _ := runSets(t, 1, 1, n)
+	batchedFences := runSets(t, 64, n)
+	unbatchedFences := runSets(t, 1, n)
 	t.Logf("fences per SET: batched=%.2f unbatched=%.2f",
 		float64(batchedFences)/n, float64(unbatchedFences)/n)
 	if unbatchedFences < n {

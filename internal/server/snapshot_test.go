@@ -184,7 +184,7 @@ func TestSnapshotDisabled(t *testing.T) {
 // must be monotonic (the snapshot watermark never goes backwards).
 func TestSnapshotLinearizable(t *testing.T) {
 	_, addr := startServer(t, Config{
-		Engine: "SpecSPMT", Shards: 1, MaxBatch: 4, PipelineDepth: 4,
+		Engine: "SpecSPMT", Shards: 1, MaxBatch: 4,
 	})
 	const key = 42
 	var acked atomic.Uint64
@@ -341,12 +341,12 @@ func runReadHeavy(t *testing.T, addr string, readers, writers, depth int, dur ti
 }
 
 // TestSnapshotServedShare is the host-independent half of the snapshot-read
-// acceptance gate: under a 90/10 read-heavy pipelined load (depth 4), the
-// MVCC path must serve the majority of the readers' GETs off the worker
-// queues. How much faster that makes them is the repository benchmark's
-// question (read-text), not tier-1's.
+// acceptance gate: under a 90/10 read-heavy load, the MVCC path must serve
+// the majority of the readers' GETs off the worker queues. How much faster
+// that makes them is the repository benchmark's question (read-text), not
+// tier-1's.
 func TestSnapshotServedShare(t *testing.T) {
-	s, addr := startServer(t, Config{Engine: "SpecSPMT", Shards: 4, MaxBatch: 8, PipelineDepth: 4})
+	s, addr := startServer(t, Config{Engine: "SpecSPMT", Shards: 4, MaxBatch: 8})
 	gets := runReadHeavy(t, addr, 8, 1, 4, 400*time.Millisecond)
 	if gets == 0 {
 		t.Fatal("readers completed no GETs")

@@ -9,8 +9,8 @@ import (
 
 // enqueueHeld queues jobs on shard 0 while every worker is parked in a
 // Freeze and releases them together, so the batches the worker then forms
-// depend only on MaxBatch and PipelineDepth — never on how fast the host
-// runs the enqueuer against the worker. len(jobs) must fit the shard queue.
+// depend only on MaxBatch — never on how fast the host runs the enqueuer
+// against the worker. len(jobs) must fit the shard queue.
 func enqueueHeld(t *testing.T, s *Server, jobs []*job) {
 	t.Helper()
 	if len(jobs) > cap(s.shards[0].jobs) {
@@ -38,15 +38,14 @@ func setJobs(n, keys int) []*job {
 }
 
 // runSets pushes n single-SET jobs, queued together behind a Freeze, through
-// a fresh one-shard server with the given batching/pipelining shape and
-// returns the engine fence and commit deltas.
-func runSets(t *testing.T, maxBatch, depth, n int) (fences, commits uint64) {
+// a fresh one-shard server with the given batch cap and returns the engine
+// fence delta.
+func runSets(t *testing.T, maxBatch, n int) uint64 {
 	t.Helper()
 	s, err := New(Config{
-		Shards:        1,
-		PoolSize:      64 << 20,
-		MaxBatch:      maxBatch,
-		PipelineDepth: depth,
+		Shards:   1,
+		PoolSize: 64 << 20,
+		MaxBatch: maxBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,58 +58,28 @@ func runSets(t *testing.T, maxBatch, depth, n int) (fences, commits uint64) {
 	}
 	for _, j := range jobs {
 		if len(j.results) != 1 || j.results[0].Status != StatusOK {
-			t.Fatalf("maxBatch=%d depth=%d: bad result %+v", maxBatch, depth, j.results)
+			t.Fatalf("maxBatch=%d: bad result %+v", maxBatch, j.results)
 		}
 	}
 	after := s.Counters()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return after.Fences - before.Fences, after.TxCommitted - before.TxCommitted
+	return after.Fences - before.Fences
 }
 
-// TestPipelinedFencesPerOp is the fences-per-op regression gate: group
-// commit amortizes the fence over a batch, and pipelining amortizes it again
-// over a window of batches, so the three shapes must order strictly:
-//
-//	pipelined < batched < unbatched
-func TestPipelinedFencesPerOp(t *testing.T) {
-	const n = 40
-	unbatched, _ := runSets(t, 1, 1, n)
-	batched, _ := runSets(t, 8, 1, n)
-	pipelined, _ := runSets(t, 8, 4, n)
-	t.Logf("fences per SET: unbatched=%.2f batched=%.2f pipelined=%.2f",
-		float64(unbatched)/n, float64(batched)/n, float64(pipelined)/n)
-	if unbatched < n {
-		t.Fatalf("unbatched must fence at least once per SET: %d/%d", unbatched, n)
-	}
-	if batched >= unbatched {
-		t.Fatalf("group commit did not reduce fences: batched=%d unbatched=%d", batched, unbatched)
-	}
-	if pipelined >= batched {
-		t.Fatalf("pipelining did not reduce fences further: pipelined=%d batched=%d", pipelined, batched)
-	}
-}
-
-// TestParkedSpeculativeReplies drives a depth-4 pipeline and checks the
-// retire machinery's observable invariants: every reply arrives, nothing
-// aborted-and-replayed, the parked gauge drains to zero, the engine issued
-// fewer fences than transactions (the speculative fences really coalesced),
-// and the shard's published STATS snapshot is a fence-time cut that already
-// covers every committed transaction.
-func TestParkedSpeculativeReplies(t *testing.T) {
-	s, err := New(Config{
-		Shards:        1,
-		PoolSize:      64 << 20,
-		MaxBatch:      8,
-		PipelineDepth: 4,
-	})
+// TestPublishedStatsCoverEveryReply: a worker publishes its STATS snapshot
+// before it releases a batch's replies, so once the last reply has arrived
+// the published counters already account for every commit the engine made.
+func TestPublishedStatsCoverEveryReply(t *testing.T) {
+	s, err := New(Config{Shards: 1, PoolSize: 64 << 20, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	s.startWorkers()
 	beforeStats, _, _ := s.shards[0].published()
+	beforeLive := s.Counters()
 	// The whole load is queued before the worker is released, so it
 	// coalesces deterministically.
 	jobs := setJobs(60, 7)
@@ -121,39 +90,26 @@ func TestParkedSpeculativeReplies(t *testing.T) {
 			t.Fatalf("bad result %+v", j.results)
 		}
 	}
-	if got := s.specAborts.Load(); got != 0 {
-		t.Fatalf("spec aborts = %d on a conflict-free workload", got)
-	}
-	// Every reply we received was released by the retirer, so the parked
-	// gauge must be back to zero the moment the last done fires.
-	if parked := s.shards[0].parked.Load(); parked != 0 {
-		t.Fatalf("parked gauge = %d after all replies", parked)
-	}
-	// The published snapshot was cut AFTER the retire fence that released
-	// the final reply: it must already account for every commit and show
-	// the fence amortization.
 	afterStats, _, _ := s.shards[0].published()
+	afterLive := s.Counters()
 	commits := afterStats.TxCommitted - beforeStats.TxCommitted
-	fences := afterStats.Fences - beforeStats.Fences
-	if commits == 0 {
-		t.Fatal("published snapshot saw no commits")
+	if live := afterLive.TxCommitted - beforeLive.TxCommitted; commits != live || commits == 0 {
+		t.Fatalf("published snapshot counts %d commits, engine made %d", commits, live)
 	}
-	if fences >= commits {
-		t.Fatalf("pipelined run published fences=%d >= commits=%d", fences, commits)
+	if fences, live := afterStats.Fences-beforeStats.Fences, afterLive.Fences-beforeLive.Fences; fences != live {
+		t.Fatalf("published snapshot counts %d fences, engine issued %d", fences, live)
 	}
 }
 
-// TestBinaryPipelinedLoopback runs concurrent binary-protocol connections,
-// each keeping a window of frames in flight against a pipelined server, and
-// checks per-connection read-your-writes ordering — a reply stream that
-// reordered or dropped a parked reply fails immediately. This test is part
-// of the -race CI step.
-func TestBinaryPipelinedLoopback(t *testing.T) {
-	s, addr := startServer(t, Config{
-		Engine:        "SpecSPMT",
-		Shards:        4,
-		MaxBatch:      8,
-		PipelineDepth: 4,
+// TestBinaryWindowedLoopback runs concurrent binary-protocol connections,
+// each keeping a window of frames in flight, and checks per-connection
+// read-your-writes ordering — a reply stream that reordered or dropped a
+// reply fails immediately. This test is part of the -race CI step.
+func TestBinaryWindowedLoopback(t *testing.T) {
+	_, addr := startServer(t, Config{
+		Engine:   "SpecSPMT",
+		Shards:   4,
+		MaxBatch: 8,
 	})
 	const conns, rounds, window = 8, 120, 16
 	var wg sync.WaitGroup
@@ -205,7 +161,7 @@ func TestBinaryPipelinedLoopback(t *testing.T) {
 				last[k] = v
 				inflight = append(inflight, sent{OpSet, k, v})
 				// Read-your-writes: a GET queued behind the SET on the same
-				// connection must observe it, even while both are parked.
+				// connection must observe it, even in the same window.
 				if err := c.SendOp(Op{Kind: OpGet, Key: k}); err != nil {
 					errs <- err
 					return
@@ -242,21 +198,17 @@ func TestBinaryPipelinedLoopback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.specAborts.Load(); got != 0 {
-		t.Fatalf("spec aborts = %d", got)
-	}
 }
 
-// TestPipelinedReadYourWrites pins the read-parking path specifically: with
-// speculative batches pending, a read-only batch must park behind the same
-// retire fence instead of replying early (runBatch's readOnly branch), and
-// the value it reports must be the speculative one.
-func TestPipelinedReadYourWrites(t *testing.T) {
+// TestWindowReadYourWrites pins the queuedAhead diversion: a GET sent in
+// the same window as a SET to its key must not be served from the MVCC
+// snapshot (which may not hold the SET yet) but queue behind the SET, and
+// report the value just written.
+func TestWindowReadYourWrites(t *testing.T) {
 	_, addr := startServer(t, Config{
-		Engine:        "SpecSPMT",
-		Shards:        1,
-		MaxBatch:      4,
-		PipelineDepth: 8,
+		Engine:   "SpecSPMT",
+		Shards:   1,
+		MaxBatch: 4,
 	})
 	c, err := DialProto(addr, 5*time.Second, "binary")
 	if err != nil {
@@ -282,15 +234,14 @@ func TestPipelinedReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestPipelinedCrossShardDrain checks that MULTI...EXEC transactions spanning
-// shards still commit atomically when every involved worker first has to
-// retire and drain a speculative window.
-func TestPipelinedCrossShardDrain(t *testing.T) {
+// TestWindowedCrossShardMulti checks that MULTI...EXEC transactions
+// spanning shards commit atomically between windows of single-shard SETs
+// on the same shards.
+func TestWindowedCrossShardMulti(t *testing.T) {
 	_, addr := startServer(t, Config{
-		Engine:        "SpecSPMT",
-		Shards:        4,
-		MaxBatch:      8,
-		PipelineDepth: 4,
+		Engine:   "SpecSPMT",
+		Shards:   4,
+		MaxBatch: 8,
 	})
 	c, err := DialProto(addr, 5*time.Second, "binary")
 	if err != nil {
@@ -298,7 +249,7 @@ func TestPipelinedCrossShardDrain(t *testing.T) {
 	}
 	defer c.Close()
 	for round := 0; round < 20; round++ {
-		// Seed traffic so windows are speculatively parked on several shards.
+		// A window of SETs spread over every shard.
 		for k := uint64(0); k < 16; k++ {
 			if err := c.SendOp(Op{Kind: OpSet, Key: k, Arg1: uint64(round)}); err != nil {
 				t.Fatal(err)

@@ -27,60 +27,34 @@ type shard struct {
 	wbuf []RepWrite
 	one  [1]*job
 
-	// Pipelined group commit (PipelineDepth > 1). pending holds batches the
-	// worker committed speculatively (CommitNoFence) whose replies are
-	// parked; specUnfenced is true while any of their records still lacks
-	// the retire fence. Both are worker-goroutine-only. retireq is the FIFO
-	// hand-off to the shard's retirer goroutine, which publishes each
-	// batch's writes to the Replicator and releases its replies strictly in
-	// commit order; rwbuf is the retirer's write-staging buffer. parked
-	// counts jobs currently committed-but-unpublished (the pipeline
-	// occupancy gauge).
-	pending      []*retired
-	specUnfenced bool
-	retireq      chan *retired
-	rwbuf        []RepWrite
-	parked       atomic.Int64
-
 	// MVCC snapshot reads (mvcc.go). ver is the shard's version store, read
 	// lock-free by the fast path and swapped whole on rebuilds; verStale
 	// marks it behind the map (an unstamped internal write landed) — the
 	// fast path falls back and the worker rebuilds at the next idle moment.
 	// installMax is the highest LSN installed so far, touched only by the
-	// shard's single publishing goroutine (retirer, or worker when not
-	// pipelined — never both concurrently, by the retire-drain protocol).
+	// goroutine executing the shard's commits (its worker, or the executor
+	// of a cross-shard transaction while this worker is parked).
 	ver        atomic.Pointer[mvcc.Store]
 	verStale   atomic.Bool
 	installMax uint64
 
-	// Pipeline-depth auto-tuning (pipelined mode): depth is the live window
-	// size the worker retires at, tuned between 1 and cfg.PipelineDepth from
-	// the retire fence's observed stall (atomic only so the metrics
-	// collector may read it); fenceEwmaNs is the stall EWMA, worker/retire
-	// path only.
-	depth       atomic.Int64
-	fenceEwmaNs int64
-
-	// Published snapshot for STATS — written by the worker (or, pipelined,
-	// by the retirer at each fence boundary), read by connection goroutines
-	// under mu.
+	// Published snapshot for STATS — written by the worker, read by
+	// connection goroutines under mu.
 	mu      sync.Mutex
 	stats   specpmt.Counters
 	keys    uint64
 	modelNs int64
 
 	// Wall-clock instruments, scraped by the metrics collector: commit
-	// latency, batch size, queue depth at batch start, and replies released
-	// per retire fence. track is the shard's span-recorder track (0 when
-	// spans are off).
+	// latency, batch size, and queue depth at batch start. track is the
+	// shard's span-recorder track (0 when spans are off).
 	commitNs   obs.Histogram
 	batchJobs  obs.Histogram
 	queueDepth obs.Histogram
-	parkedHist obs.Histogram
 	track      int32
 }
 
-func newShard(pool *specpmt.ThreadedPool, id, maxBatch, pipelineDepth int) (*shard, error) {
+func newShard(pool *specpmt.ThreadedPool, id, maxBatch int) (*shard, error) {
 	th := pool.Thread(id)
 	m, err := hashmap.New(th, id)
 	if err != nil {
@@ -90,33 +64,14 @@ func newShard(pool *specpmt.ThreadedPool, id, maxBatch, pipelineDepth int) (*sha
 	if queue < 64 {
 		queue = 64
 	}
-	sh := &shard{id: id, th: th, m: m, jobs: make(chan *job, queue)}
-	sh.depth.Store(int64(pipelineDepth))
-	if pipelineDepth > 1 {
-		// The retire queue bounds how far publication may trail the fence:
-		// one window of speculative batches plus slack for the retirer to
-		// drain while the worker fills the next window.
-		sh.retireq = make(chan *retired, 2*pipelineDepth)
-	}
-	return sh, nil
+	return &shard{id: id, th: th, m: m, jobs: make(chan *job, queue)}, nil
 }
 
 // publish refreshes the shard's STATS snapshot (worker goroutine only).
 func (sh *shard) publish() {
-	sh.setPublished(sh.cut())
-}
-
-// cut snapshots the counters the worker owns (worker goroutine only) —
-// pipelined retirement takes the cut at the fence and installs it from the
-// retirer, because the retirer must never touch the engine thread itself.
-func (sh *shard) cut() shardSnap {
-	return shardSnap{stats: sh.th.Counters(), keys: sh.m.Len(), modelNs: sh.th.Now()}
-}
-
-// setPublished installs a snapshot (worker or retirer goroutine).
-func (sh *shard) setPublished(sn shardSnap) {
+	stats, keys, modelNs := sh.th.Counters(), sh.m.Len(), sh.th.Now()
 	sh.mu.Lock()
-	sh.stats, sh.keys, sh.modelNs = sn.stats, sn.keys, sn.modelNs
+	sh.stats, sh.keys, sh.modelNs = stats, keys, modelNs
 	sh.mu.Unlock()
 }
 
@@ -125,40 +80,6 @@ func (sh *shard) published() (specpmt.Counters, uint64, int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.stats, sh.keys, sh.modelNs
-}
-
-// shardSnap is one consistent cut of a shard's observable counters.
-type shardSnap struct {
-	stats   specpmt.Counters
-	keys    uint64
-	modelNs int64
-}
-
-// retired is the retire stage's unit of work: one batch whose transaction
-// is committed (and, by enqueue time, fenced) but whose replies are still
-// parked. The retirer publishes the batch's effective writes — fixing its
-// replication LSN — and only then releases the replies, so LSN order always
-// equals reply-publication order. A non-nil sync marks a drain barrier: the
-// worker blocks until the retirer has processed everything enqueued before
-// it (cross-shard transactions and freezes need the shard's publish stream
-// quiet before they commit on another shard's retire stream).
-type retired struct {
-	jobs    []*job
-	hasSnap bool
-	snap    shardSnap
-	sync    chan struct{}
-}
-
-var retiredPool = sync.Pool{New: func() any { return new(retired) }}
-
-func getRetired() *retired { return retiredPool.Get().(*retired) }
-
-func putRetired(r *retired) {
-	r.jobs = r.jobs[:0]
-	r.hasSnap = false
-	r.snap = shardSnap{}
-	r.sync = nil
-	retiredPool.Put(r)
 }
 
 // job is one request's rendezvous between a connection goroutine and the
@@ -221,15 +142,11 @@ type multiJob struct {
 }
 
 // runWorker is a shard worker's main loop: take one job, coalesce whatever
-// else is queued into a group commit, execute, reply. With pipelining on,
-// runBatch parks speculative batches instead of replying, and the loop
-// retires them — one coalescing fence, then FIFO hand-off to the retirer —
-// whenever the window fills or the queue runs dry.
+// else is queued into a group commit, execute, publish, reply.
 func (s *Server) runWorker(sh *shard) {
 	var batch []*job
 	for j := range sh.jobs {
 		if j.multi != nil {
-			s.retireAndDrain(sh)
 			s.runMulti(sh, j)
 			continue
 		}
@@ -238,146 +155,15 @@ func (s *Server) runWorker(sh *shard) {
 		batch, pendingMulti = s.collectBatch(sh, batch)
 		s.runBatch(sh, batch)
 		if pendingMulti != nil {
-			s.retireAndDrain(sh)
 			s.runMulti(sh, pendingMulti)
-		}
-		if len(sh.pending) > 0 && len(sh.jobs) == 0 {
-			// About to block on an empty queue: retire now so parked
-			// replies never wait on future traffic.
-			s.retirePending(sh)
 		}
 		if s.mvccOn && sh.verStale.Load() && len(sh.jobs) == 0 {
 			// An unstamped write (migration apply, bootstrap batch) left the
 			// version store behind the map: rebuild it while the queue is
 			// quiet so the snapshot fast path comes back.
-			s.retireAndDrain(sh)
 			s.rebuildStore(sh)
 		}
 	}
-	s.retirePending(sh)
-	if sh.retireq != nil {
-		close(sh.retireq) // the retirer drains what remains, then exits
-	}
-}
-
-// runRetirer is a shard's retire stage (pipelined mode only): it receives
-// fenced batches in commit order and, for each one, publishes its effective
-// writes to the Replicator (assigning the replication LSN), waits out any
-// synchronous-replication ack, installs the fence-time counter snapshot,
-// and finally releases the parked replies. Because it is the only publisher
-// for its shard and consumes a FIFO, per-shard LSN order always matches
-// commit order — see DESIGN.md.
-func (s *Server) runRetirer(sh *shard) {
-	for r := range sh.retireq {
-		if r.sync != nil {
-			close(r.sync)
-			continue
-		}
-		wait := s.publishJobs(r.jobs, &sh.rwbuf)
-		if wait != nil {
-			var w0 int64
-			if s.stamps {
-				w0 = s.nowNs()
-			}
-			wait()
-			if s.rec != nil {
-				s.rec.Record(obs.Span{Kind: obs.SpanReplWait, Track: sh.track,
-					Start: w0, End: s.nowNs()})
-			}
-		}
-		if r.hasSnap {
-			sh.setPublished(r.snap)
-		}
-		sh.parked.Add(-int64(len(r.jobs)))
-		for _, j := range r.jobs {
-			j.finish()
-		}
-		putRetired(r)
-	}
-}
-
-// parkBatch stages a finished (and, for writes, speculatively committed)
-// batch for retirement: modeled latencies are stamped now, replies are
-// withheld until the retire fence. Worker goroutine only.
-func (s *Server) parkBatch(sh *shard, batch []*job, endNs int64, speculative bool) {
-	r := getRetired()
-	r.jobs = append(r.jobs, batch...)
-	for _, j := range batch {
-		j.modelNs = endNs - j.startNs
-	}
-	if speculative {
-		sh.specUnfenced = true
-	}
-	sh.pending = append(sh.pending, r)
-	sh.parked.Add(int64(len(batch)))
-}
-
-// retirePending issues the coalescing retire fence — one fence for every
-// batch in the window, the server-level analogue of SpecPMT's single commit
-// fence — and hands the window to the retirer in commit order. Worker
-// goroutine only; no-op when nothing is pending.
-func (s *Server) retirePending(sh *shard) {
-	if len(sh.pending) == 0 {
-		return
-	}
-	if sh.specUnfenced {
-		t0 := sh.th.Now()
-		sh.th.Fence()
-		s.tunePipeline(sh, sh.th.Now()-t0)
-		sh.specUnfenced = false
-	}
-	var parked int
-	for _, r := range sh.pending {
-		parked += len(r.jobs)
-	}
-	sh.parkedHist.Observe(int64(parked))
-	last := sh.pending[len(sh.pending)-1]
-	last.snap = sh.cut()
-	last.hasSnap = true
-	for _, r := range sh.pending {
-		sh.retireq <- r
-	}
-	sh.pending = sh.pending[:0]
-}
-
-// fenceStallBudgetNs is the per-batch fence stall the auto-tuner is willing
-// to pay before it widens the pipeline window: one extra batch of depth for
-// every multiple of the budget the retire fence stalls. On media where a
-// fence drains in well under the budget (eADR-class), the window shrinks to
-// 1 and replies stop parking for nothing; on slow media it opens back up
-// toward the configured cap.
-const fenceStallBudgetNs = 200
-
-// tunePipeline folds one observed retire-fence stall into the shard's EWMA
-// and steps the live window depth one unit toward the stall-derived target,
-// clamped to [1, cfg.PipelineDepth]. Worker goroutine only (the atomic on
-// sh.depth is for the metrics reader, not for concurrent tuners).
-func (s *Server) tunePipeline(sh *shard, stallNs int64) {
-	sh.fenceEwmaNs = (7*sh.fenceEwmaNs + stallNs) / 8
-	want := 1 + int(sh.fenceEwmaNs/fenceStallBudgetNs)
-	if want > s.cfg.PipelineDepth {
-		want = s.cfg.PipelineDepth
-	}
-	cur := int(sh.depth.Load())
-	if want > cur {
-		sh.depth.Store(int64(cur + 1))
-	} else if want < cur {
-		sh.depth.Store(int64(cur - 1))
-	}
-}
-
-// retireAndDrain retires the window and then blocks until the retirer has
-// published everything — required before this worker participates in a
-// cross-shard transaction or freeze, whose effects must be ordered after
-// every publish this shard already owes. No-op when pipelining is off.
-func (s *Server) retireAndDrain(sh *shard) {
-	if sh.retireq == nil {
-		return
-	}
-	s.retirePending(sh)
-	r := &retired{sync: make(chan struct{})}
-	sh.retireq <- r
-	<-r.sync
 }
 
 // collectBatch drains the queue into batch, up to MaxBatch jobs, and returns
@@ -386,7 +172,8 @@ func (s *Server) retireAndDrain(sh *shard) {
 // waiting (DESIGN.md §4d). Two rules keep "dry" honest without a clock:
 // (1) the queue is not dry while a binary handler is still dispatching a
 // window it has already read, unless that handler may itself be blocked on
-// the workers (in-flight gate full, a shard frozen at admission); (2) the
+// the workers (waiting at a full in-flight gate while its window holds no
+// slot yet, a shard frozen at admission); (2) the
 // worker yields once before going dry, so a handler the netpoller has
 // already made runnable enqueues first. A cross-shard job ends collection
 // (it needs the barrier protocol) and is returned separately.
@@ -422,10 +209,7 @@ func (s *Server) collectBatch(sh *shard, batch []*job) ([]*job, *job) {
 
 // runBatch executes a batch of single-shard jobs. Reads-only batches skip
 // the transaction entirely; anything with a write becomes ONE transaction —
-// the group commit — so its single fence amortizes over every job. With
-// pipelining on, the transaction commits speculatively (CommitNoFence):
-// execution continues into the next batch while the fence is outstanding,
-// and the replies stay parked until retirePending fences the whole window.
+// the group commit — so its single fence amortizes over every job.
 func (s *Server) runBatch(sh *shard, batch []*job) {
 	var wall0 int64
 	if s.stamps {
@@ -467,13 +251,6 @@ func (s *Server) runBatch(sh *shard, batch []*job) {
 					Start: wall0, End: wallEnd, A: uint64(len(batch)), B: opsIn(batch)})
 			}
 		}
-		if len(sh.pending) > 0 {
-			// The reads may observe speculative state (a parked SET's value):
-			// their replies must wait for the same fence, or a crash could
-			// acknowledge a read of a value that was never durable.
-			s.parkBatch(sh, batch, end, false)
-			return
-		}
 		s.finishBatch(sh, batch, end)
 		return
 	}
@@ -506,21 +283,9 @@ func (s *Server) runBatch(sh *shard, batch []*job) {
 		}
 	}
 	var commit0, commit1 int64
-	speculative := false
 	if ok {
 		commit0 = s.nowNs()
-		var err error
-		if s.pipelined {
-			if dtx, can := tx.(specpmt.DeferredCommitTx); can {
-				err = dtx.CommitNoFence()
-				speculative = err == nil
-			} else {
-				err = tx.Commit()
-			}
-		} else {
-			err = tx.Commit()
-		}
-		if err != nil {
+		if err := tx.Commit(); err != nil {
 			s.log.Warn("shard commit failed", "shard", sh.id, "err", err)
 			ok = false
 		}
@@ -530,13 +295,6 @@ func (s *Server) runBatch(sh *shard, batch []*job) {
 	}
 	if !ok {
 		sh.m.DiscardRetired()
-		if s.pipelined {
-			// Abort-and-replay: the speculative attempt is rolled back; the
-			// parked window retires first so the replayed singles publish
-			// after everything already committed ahead of them.
-			s.specAborts.Add(1)
-			s.retireAndDrain(sh)
-		}
 		// Degrade: run each job in its own transaction so one oversized or
 		// unlucky request cannot fail its whole batch.
 		for _, j := range batch {
@@ -562,13 +320,6 @@ func (s *Server) runBatch(sh *shard, batch []*job) {
 			)
 		}
 	}
-	if s.pipelined {
-		s.parkBatch(sh, batch, end, speculative)
-		if len(sh.pending) >= int(sh.depth.Load()) {
-			s.retirePending(sh)
-		}
-		return
-	}
 	// The whole batch committed as one transaction; ship it as one
 	// replication record, and in synchronous mode hold every client in the
 	// batch until the record is acked — one network round trip amortized
@@ -593,38 +344,31 @@ func opsIn(batch []*job) uint64 {
 	return n
 }
 
-// publishBatch hands the batch's effective writes to the Replicator as one
-// record, installs every job's writes into the MVCC version stores at their
-// publication LSN, and returns the sync-mode wait (nil when async or
-// unreplicated).
+// publishBatch is the one publish point after a commit: the batch's
+// external (client) writes ship to the Replicator as one record whose LSN
+// stamps them — or take one from the standalone LSN clock when
+// unreplicated — and then every job's effective writes (internal ones
+// included, at their own pubLSN) install into the MVCC version stores
+// before any reply is released. Returns the sync-mode wait (nil when async
+// or unreplicated).
 func (s *Server) publishBatch(sh *shard, batch []*job) func() {
-	return s.publishJobs(batch, &sh.wbuf)
-}
-
-// publishJobs is the shared publish point behind the retirer and the
-// worker's inline paths: external (client) writes ship to the Replicator as
-// one record whose LSN stamps them — or take one from the standalone LSN
-// clock when unreplicated — and then every job's effective writes
-// (internal ones included, at their own pubLSN) install into the version
-// stores before any reply is released.
-func (s *Server) publishJobs(jobs []*job, buf *[]RepWrite) func() {
-	*buf = (*buf)[:0]
-	for _, j := range jobs {
+	sh.wbuf = sh.wbuf[:0]
+	for _, j := range batch {
 		if !j.internal {
-			*buf = s.appendWrites(*buf, j)
+			sh.wbuf = s.appendWrites(sh.wbuf, j)
 		}
 	}
 	var wait func()
 	var extLSN uint64
-	if len(*buf) > 0 {
+	if len(sh.wbuf) > 0 {
 		if rep := s.replicator(); rep != nil {
-			extLSN, wait = rep.Publish(*buf)
+			extLSN, wait = rep.Publish(sh.wbuf)
 			s.maxLSNClock(extLSN)
 		} else {
 			extLSN = s.lsnClock.Add(1)
 		}
 	}
-	s.installBatch(jobs, extLSN)
+	s.installBatch(batch, extLSN)
 	return wait
 }
 
@@ -664,10 +408,8 @@ func (s *Server) finishBatch(sh *shard, batch []*job, endNs int64) {
 	}
 }
 
-// runSingle executes one job in its own transaction (the no-batching path
-// and the batch-failure fallback). Callers in pipelined mode must have
-// drained the retire queue first: runSingle publishes inline, which is only
-// LSN-ordered when the retirer owes nothing.
+// runSingle executes one job in its own transaction and publishes it — the
+// batch-failure fallback.
 func (s *Server) runSingle(sh *shard, j *job) {
 	if err := sh.m.EnsureHeadroom(putCount(j.ops)); err != nil {
 		s.log.Warn("shard grow failed", "shard", sh.id, "err", err)
@@ -727,9 +469,9 @@ func (s *Server) runSingle(sh *shard, j *job) {
 // runMulti coordinates a cross-shard transaction. Non-executors park at the
 // barrier, which hands their engine thread and map shard to the executor;
 // the executor applies every operation in ONE transaction on its own
-// engine and releases them after commit. Every involved worker retired and
-// drained its pipeline before reaching here (runWorker), so the inline
-// publish below cannot overtake a parked batch's LSN on any shard.
+// engine and releases them after commit. Every involved worker has
+// published everything it committed before parking, so the publish below
+// follows each shard's earlier LSNs.
 func (s *Server) runMulti(sh *shard, j *job) {
 	m := j.multi
 	if sh.id != m.shards[0] {

@@ -380,9 +380,10 @@ func (t *Thread) Begin() Tx { return t.pool.Begin(t.idx) }
 
 // Fence issues an ordering fence on this thread's core, retiring every
 // transaction the thread committed with CommitNoFence (see
-// txn.DeferredCommitTx) since the previous fence. This is the coalescing
-// retire step of pipelined group commit: many speculative commits, one
-// fence. Must run on the goroutine driving this thread.
+// txn.DeferredCommitTx) since the previous fence: many speculative commits,
+// one fence. It serves the pipelined crash torture (internal/crashtest) and
+// the deferred-commit engine tests; the server commits with Commit. Must
+// run on the goroutine driving this thread.
 func (t *Thread) Fence() {
 	t.core.Fence()
 	if n, ok := t.pool.engineAt(t.idx).(interface{ NoteFence() }); ok {
