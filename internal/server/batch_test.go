@@ -12,7 +12,8 @@ import (
 
 // Tests for the batching rule itself (collectBatch): a shard worker commits
 // what is queued the moment its queue runs dry, and a queue is not dry while
-// a binary handler is still dispatching a window it has already read.
+// a connection handler is still dispatching a window it has already read.
+// The window tests run over both codecs: the window loop is the same.
 
 // TestLoneRequestDoesNotWait: on an idle server nothing overlaps a lone
 // request, so it must commit at once. The bound is half the 200 µs window
@@ -42,15 +43,15 @@ func TestLoneRequestDoesNotWait(t *testing.T) {
 	}
 }
 
-// pipeClient serves one end of a net.Pipe and returns a binary client on the
-// other. A pipe hands the server's buffered reader a whole Write in one
-// Read, so a burst flushed at once is fully buffered when its first frame
-// is dispatched — on any host.
-func pipeClient(t *testing.T, s *Server) *Client {
+// pipeClient serves one end of a net.Pipe and returns a client of the given
+// protocol on the other. A pipe hands the server's buffered reader a whole
+// Write in one Read, so a burst flushed at once is fully buffered when its
+// first request is dispatched — on any host.
+func pipeClient(t *testing.T, s *Server, proto string) *Client {
 	t.Helper()
 	srv, cli := net.Pipe()
 	go s.ServeConn(srv)
-	c, err := NewClientProto(cli, "binary")
+	c, err := NewClientProto(cli, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,41 +93,62 @@ func seqKeys(n int) []uint64 {
 
 // TestBurstCommitsOncePerShard is the regression test for the dispatching
 // rule: one connection's burst must commit as at most one transaction per
-// shard, not one per frame — a worker that wakes on the first frame holds
-// its batch open until the handler has enqueued the last. The burst is a
-// full connection window, the longest a worker has to hold out; without the
-// rule about one such burst in ten splits on a quiet two-CPU host.
+// shard, not one per request — a worker that wakes on the first request
+// holds its batch open until the handler has enqueued the last. The binary
+// burst is a full connection window, the longest a worker has to hold out;
+// without the rule about one such burst in ten splits on a quiet two-CPU
+// host. The text burst is 16 SETs on one shard, which a handler that
+// answers one line at a time commits as 16 transactions.
 func TestBurstCommitsOncePerShard(t *testing.T) {
-	s, err := New(Config{Shards: 4, PoolSize: 64 << 20, MaxBatch: maxConnWindow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c := pipeClient(t, s)
-	keys := seqKeys(maxConnWindow)
-	// Insert the keys first: table growth commits transactions of its own.
-	if err := burst(c, keys, 0); err != nil {
-		t.Fatal(err)
-	}
-	for round := 1; round <= 200; round++ {
-		before, _, _ := s.snapshot()
-		if err := burst(c, keys, uint64(round)); err != nil {
-			t.Fatal(err)
-		}
-		after, _, _ := s.snapshot()
-		if d := after.TxCommitted - before.TxCommitted; d < 1 || d > uint64(s.Shards()) {
-			t.Fatalf("round %d: a %d-frame burst committed %d transactions, want 1..%d",
-				round, len(keys), d, s.Shards())
-		}
+	for _, tc := range []struct {
+		proto     string
+		shards, n int
+	}{{"binary", 4, maxConnWindow}, {"text", 1, 16}} {
+		t.Run(tc.proto, func(t *testing.T) {
+			s, err := New(Config{Shards: tc.shards, PoolSize: 64 << 20, MaxBatch: maxConnWindow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			c := pipeClient(t, s, tc.proto)
+			keys := seqKeys(tc.n)
+			// Insert the keys first: table growth commits transactions of its own.
+			if err := burst(c, keys, 0); err != nil {
+				t.Fatal(err)
+			}
+			for round := 1; round <= 200; round++ {
+				before, _, _ := s.snapshot()
+				if err := burst(c, keys, uint64(round)); err != nil {
+					t.Fatal(err)
+				}
+				after, _, _ := s.snapshot()
+				if d := after.TxCommitted - before.TxCommitted; d < 1 || d > uint64(s.Shards()) {
+					t.Fatalf("round %d: a %d-request burst committed %d transactions, want 1..%d",
+						round, len(keys), d, s.Shards())
+				}
+			}
+		})
 	}
 }
 
 // TestBurstExitPaths runs bursts against concurrent cross-shard MULTIs and
 // Freezes, then takes every early exit out of the dispatch window — MOVED,
-// a poisoned frame, shutdown — and requires the dispatching count back at
+// a poisoned request, shutdown — and requires the dispatching count back at
 // zero each time: a leaked count would leave every worker yielding forever
 // with its batch uncommitted. Part of the -race run.
 func TestBurstExitPaths(t *testing.T) {
+	for _, tc := range []struct {
+		proto  string
+		poison []byte
+	}{
+		{"binary", []byte{1, 0, 0, 0, 0x7f}}, // unknown frame type
+		{"text", []byte{BinVersion, '\n'}},   // a binary frame mid-text
+	} {
+		t.Run(tc.proto, func(t *testing.T) { testBurstExitPaths(t, tc.proto, tc.poison) })
+	}
+}
+
+func testBurstExitPaths(t *testing.T, proto string, poison []byte) {
 	s, addr := startServer(t, Config{Shards: 4})
 	idle := func(when string) {
 		t.Helper()
@@ -145,7 +167,7 @@ func TestBurstExitPaths(t *testing.T) {
 		defer wg.Done()
 		defer close(multiTick)
 		defer close(freezeTick)
-		c, err := DialProto(addr, 5*time.Second, "binary")
+		c, err := DialProto(addr, 5*time.Second, proto)
 		if err != nil {
 			errs <- err
 			return
@@ -171,7 +193,7 @@ func TestBurstExitPaths(t *testing.T) {
 	}()
 	go func() { // cross-shard MULTIs: 8 consecutive keys span several shards
 		defer wg.Done()
-		c, err := DialProto(addr, 5*time.Second, "binary")
+		c, err := DialProto(addr, 5*time.Second, proto)
 		if err != nil {
 			errs <- err
 			return
@@ -210,7 +232,7 @@ func TestBurstExitPaths(t *testing.T) {
 		owner[i] = "elsewhere:1"
 	}
 	s.SetRoute(7, owner, "self:1")
-	c, err := DialProto(addr, 5*time.Second, "binary")
+	c, err := DialProto(addr, 5*time.Second, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +248,9 @@ func TestBurstExitPaths(t *testing.T) {
 	idle("after a MOVED burst")
 	s.SetRoute(0, nil, "")
 
-	// A poisoned frame mid-burst: the frames ahead of it are answered, then
-	// the ERR frame, then the server hangs up.
-	bad, err := DialProto(addr, 5*time.Second, "binary")
+	// A poisoned request mid-burst: the requests ahead of it are answered,
+	// then the ERR reply, then the server hangs up.
+	bad, err := DialProto(addr, 5*time.Second, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,16 +258,16 @@ func TestBurstExitPaths(t *testing.T) {
 	if err := sendSets(bad, seqKeys(4), 2); err != nil {
 		t.Fatal(err)
 	}
-	bad.bw.Write([]byte{1, 0, 0, 0, 0x7f}) // unknown frame type
+	bad.bw.Write(poison)
 	for i := 0; i < 4; i++ {
 		if r, err := bad.RecvResult(); err != nil || r.Status != StatusOK {
-			t.Fatalf("frame ahead of the poisoned one: %+v %v", r, err)
+			t.Fatalf("request ahead of the poisoned one: %+v %v", r, err)
 		}
 	}
 	if _, err := bad.RecvResult(); err == nil {
-		t.Fatal("poisoned frame was answered")
+		t.Fatal("poisoned request was answered")
 	}
-	idle("after a poisoned frame")
+	idle("after a poisoned request")
 
 	// Shutdown with a burst in flight: whatever the handler was doing, Close
 	// returns (it waits for every handler and worker) and the count is zero.
@@ -284,7 +306,7 @@ func TestBlockedDispatcherDoesNotHoldBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		a, b := pipeClient(t, s), pipeClient(t, s)
+		a, b := pipeClient(t, s, "binary"), pipeClient(t, s, "binary")
 		// Hold the worker so both of a's requests sit in the queue with every
 		// in-flight slot taken, and b's handler blocks on the gate inside its
 		// dispatch window.
@@ -332,7 +354,7 @@ func TestBlockedDispatcherDoesNotHoldBatches(t *testing.T) {
 		for s.shardOf(onOther) != 1 {
 			onOther++
 		}
-		a, b := pipeClient(t, s), pipeClient(t, s)
+		a, b := pipeClient(t, s, "binary"), pipeClient(t, s, "binary")
 		s.FreezeShard(0)
 		if err := a.SendOp(Op{Kind: OpSet, Key: onFrozen, Arg1: 1}); err != nil {
 			t.Fatal(err)
@@ -356,32 +378,36 @@ func TestBlockedDispatcherDoesNotHoldBatches(t *testing.T) {
 }
 
 // TestWindowLargerThanInFlightGate is the regression test for the in-flight
-// slot deadlock: a binary handler holds its window's slots until the whole
-// window is answered, so a handler that blocked on the gate while holding
-// slots waited for itself. A window may wait for a slot only while it holds
-// none; a later frame that finds no slot free ends the window and leads the
-// next one. Here one 8-frame window meets a 4-slot gate.
+// slot deadlock: a handler holds its window's slots until the whole window
+// is answered, so a handler that blocked on the gate while holding slots
+// waited for itself. A window may wait for a slot only while it holds none;
+// a later request that finds no slot free ends the window and leads the
+// next one. Here one 8-request window meets a 4-slot gate.
 func TestWindowLargerThanInFlightGate(t *testing.T) {
-	s, err := New(Config{Shards: 2, PoolSize: 64 << 20, MaxInFlight: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c := pipeClient(t, s)
-	keys := seqKeys(8)
-	done := make(chan error, 1)
-	go func() { done <- burst(c, keys, 1) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("%d-frame window against a %d-slot gate: replies never arrived", len(keys), cap(s.inflight))
-	}
-	for _, k := range keys {
-		if r, err := c.Get(k); err != nil || r.Status != StatusValue || r.Val != 1 {
-			t.Fatalf("GET %d after the window: %+v %v", k, r, err)
-		}
+	for _, proto := range []string{"binary", "text"} {
+		t.Run(proto, func(t *testing.T) {
+			s, err := New(Config{Shards: 2, PoolSize: 64 << 20, MaxInFlight: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			c := pipeClient(t, s, proto)
+			keys := seqKeys(8)
+			done := make(chan error, 1)
+			go func() { done <- burst(c, keys, 1) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d-request window against a %d-slot gate: replies never arrived", len(keys), cap(s.inflight))
+			}
+			for _, k := range keys {
+				if r, err := c.Get(k); err != nil || r.Status != StatusValue || r.Val != 1 {
+					t.Fatalf("GET %d after the window: %+v %v", k, r, err)
+				}
+			}
+		})
 	}
 }

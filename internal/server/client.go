@@ -18,9 +18,8 @@ import (
 //
 // Beyond the one-call-one-reply methods, SendOp / Flush / RecvResult expose
 // explicit pipelining: queue a window of requests, flush once, then collect
-// the replies in send order. Both protocols support it; the binary server
-// additionally dispatches a buffered window to the shard workers before
-// writing any reply, so pipelined binary clients see the largest gain.
+// the replies in send order. On either protocol the server dispatches a
+// buffered window to the shard workers before writing any reply.
 type Client struct {
 	conn    net.Conn
 	br      *bufio.Reader

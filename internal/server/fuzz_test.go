@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"io"
+	"net"
 	"testing"
+	"time"
 )
 
 // FuzzParseCommand asserts the protocol parser never panics, never accepts
@@ -41,6 +44,47 @@ func FuzzParseCommand(f *testing.F) {
 		}
 		if again != cmd {
 			t.Fatalf("round trip changed command: %+v -> %+v (line %q)", cmd, again, line)
+		}
+	})
+}
+
+// scriptBytes concatenates a wire script's requests, skipping its actions.
+func scriptBytes(script []step) []byte {
+	var out []byte
+	for _, st := range script {
+		out = append(out, st.wire...)
+	}
+	return out
+}
+
+// FuzzServeConn throws arbitrary client streams at one connection — text,
+// or binary when the stream opens with the version byte — and requires that
+// the handler neither panics nor leaks: once the connection is gone, every
+// in-flight slot is back and no window is still dispatching.
+func FuzzServeConn(f *testing.F) {
+	f.Add(scriptBytes(textScript()))
+	f.Add(append([]byte{BinVersion}, scriptBytes(binaryScript())...))
+	f.Add([]byte("SET 1 2\nGET 1\nLSN\nGETAT 1 1\nMULTI\nSET 2 3\nEXEC\nSTATS\n"))
+	f.Add([]byte{BinVersion, 2, 0, 0, 0, binFOps, 0})
+	s, err := New(Config{Shards: 2, PoolSize: 32 << 20, MaxInFlight: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		srv, cli := net.Pipe()
+		done := make(chan struct{})
+		go func() { s.ServeConn(srv); close(done) }()
+		go io.Copy(io.Discard, cli)
+		cli.Write(stream)
+		cli.Close()
+		select {
+		case <-done:
+		case <-time.After(4 * getAtTimeout):
+			t.Fatalf("handler still running %v after its connection closed", 4*getAtTimeout)
+		}
+		if n, d := len(s.inflight), s.dispatching.Load(); n != 0 || d != 0 {
+			t.Fatalf("after the connection: %d in-flight slots held, dispatching = %d", n, d)
 		}
 	})
 }

@@ -2,9 +2,10 @@
 // server speaking a small line-oriented protocol over a sharded, threaded
 // persistent pool. Each worker goroutine owns one engine thread and one
 // shard of a persistent hash map; requests are routed to workers by key
-// hash, and a group-commit batcher coalesces requests arriving within a
-// window into one transaction so the commit fence amortizes across clients
-// — the server-side analogue of the paper's single-fence commit argument.
+// hash, and a worker commits whatever is queued for it as one transaction,
+// never waiting for more, so the commit fence amortizes across overlapping
+// requests — the server-side analogue of the paper's single-fence commit
+// argument.
 //
 // # Wire protocol
 //
@@ -50,6 +51,10 @@
 //
 // A MULTI...EXEC block executes as ONE transaction — all its operations
 // commit atomically, even when the keys live on different shards.
+//
+// Requests may be pipelined: replies come back in request order. LSN,
+// GETAT, STATS, PROMOTE and extension verbs wait for every reply ahead of
+// them before they run.
 package server
 
 import (
@@ -136,56 +141,58 @@ type Result struct {
 }
 
 // ParseCommand parses one protocol line (without its trailing newline).
-// Verbs are case-insensitive; numbers are decimal uint64.
+// Verbs are case-insensitive; numbers are decimal uint64. A valid command
+// parses without allocating: its fields are sliced into a fixed array.
 func ParseCommand(line []byte) (Command, error) {
-	fields := splitFields(line)
-	if len(fields) == 0 {
+	var fields [4][]byte
+	n := splitInto(fields[:], line)
+	if n == 0 {
 		return Command{}, fmt.Errorf("empty command")
 	}
 	verb := fields[0]
-	args := fields[1:]
+	args := fields[1:min(n, len(fields))]
+	nargs := n - 1
 	switch {
 	case verbIs(verb, "GET"):
-		return opCommand(OpGet, args, 1)
+		return opCommand(OpGet, args, nargs, 1)
 	case verbIs(verb, "SET"):
-		return opCommand(OpSet, args, 2)
+		return opCommand(OpSet, args, nargs, 2)
 	case verbIs(verb, "DEL"):
-		return opCommand(OpDel, args, 1)
+		return opCommand(OpDel, args, nargs, 1)
 	case verbIs(verb, "CAS"):
-		return opCommand(OpCAS, args, 3)
+		return opCommand(OpCAS, args, nargs, 3)
 	case verbIs(verb, "MULTI"):
-		return bareCommand(VerbMulti, args)
+		return bareCommand(VerbMulti, nargs)
 	case verbIs(verb, "EXEC"):
-		return bareCommand(VerbExec, args)
+		return bareCommand(VerbExec, nargs)
 	case verbIs(verb, "DISCARD"):
-		return bareCommand(VerbDiscard, args)
+		return bareCommand(VerbDiscard, nargs)
 	case verbIs(verb, "STATS"):
-		return bareCommand(VerbStats, args)
+		return bareCommand(VerbStats, nargs)
 	case verbIs(verb, "PING"):
-		return bareCommand(VerbPing, args)
+		return bareCommand(VerbPing, nargs)
 	case verbIs(verb, "QUIT"):
-		return bareCommand(VerbQuit, args)
+		return bareCommand(VerbQuit, nargs)
 	case verbIs(verb, "PROMOTE"):
-		return bareCommand(VerbPromote, args)
+		return bareCommand(VerbPromote, nargs)
 	case verbIs(verb, "GETAT"):
-		c, err := opCommand(OpGet, args, 2)
+		c, err := opCommand(OpGet, args, nargs, 2)
 		if err != nil {
 			return c, err
 		}
 		c.Verb = VerbGetAt
 		return c, nil
 	case verbIs(verb, "LSN"):
-		return bareCommand(VerbLSN, args)
+		return bareCommand(VerbLSN, nargs)
 	}
 	return Command{}, fmt.Errorf("unknown command %q", clip(verb))
 }
 
-// splitFields splits on runs of spaces and tabs without allocating a new
-// backing array per field.
-func splitFields(line []byte) [][]byte {
-	var out [][]byte
-	i := 0
-	for i < len(line) {
+// splitInto stores the first len(dst) fields of line in dst and returns
+// how many fields line has. Fields are separated by runs of spaces and tabs.
+func splitInto(dst [][]byte, line []byte) int {
+	n := 0
+	for i := 0; i < len(line); {
 		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
 			i++
 		}
@@ -194,10 +201,21 @@ func splitFields(line []byte) [][]byte {
 			j++
 		}
 		if j > i {
-			out = append(out, line[i:j])
+			if n < len(dst) {
+				dst[n] = line[i:j]
+			}
+			n++
 		}
 		i = j
 	}
+	return n
+}
+
+// splitFields returns every field of line — the extension-verb hook's
+// argument list.
+func splitFields(line []byte) [][]byte {
+	out := make([][]byte, splitInto(nil, line))
+	splitInto(out, line)
 	return out
 }
 
@@ -217,16 +235,18 @@ func verbIs(got []byte, want string) bool {
 	return true
 }
 
-func bareCommand(v Verb, args [][]byte) (Command, error) {
-	if len(args) != 0 {
+func bareCommand(v Verb, nargs int) (Command, error) {
+	if nargs != 0 {
 		return Command{}, fmt.Errorf("command takes no arguments")
 	}
 	return Command{Verb: v}, nil
 }
 
-func opCommand(kind OpKind, args [][]byte, want int) (Command, error) {
-	if len(args) != want {
-		return Command{}, fmt.Errorf("%s takes %d argument(s), got %d", kind, want, len(args))
+// opCommand parses a data operation's arguments; nargs counts them all,
+// args holds the first few.
+func opCommand(kind OpKind, args [][]byte, nargs, want int) (Command, error) {
+	if nargs != want {
+		return Command{}, fmt.Errorf("%s takes %d argument(s), got %d", kind, want, nargs)
 	}
 	var nums [3]uint64
 	for i, a := range args {

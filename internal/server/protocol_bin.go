@@ -42,7 +42,7 @@ import (
 //	                  failed; the connection stays usable)
 //
 // Integers are little-endian and fixed-width, so a decode is a handful of
-// direct loads out of the connection's pooled read buffer — no
+// direct loads out of the connection's read buffer — no
 // tokenization, no string allocation, no copies of keys or values. Framing
 // violations (bad length prefix, unknown type, truncated or oversized
 // body, trailing bytes) poison the stream and close the connection;
@@ -110,27 +110,23 @@ func readFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 	return b, nil
 }
 
-// peekFrame returns the next frame's payload and its length on the wire
-// without consuming it, when the whole frame already sits in br's buffer —
-// it never blocks. payload is nil when no complete frame is buffered; a
-// buffered but invalid length prefix is an error. The payload aliases br's
-// buffer and is valid until the next read; br.Discard(n) consumes the frame.
-func peekFrame(br *bufio.Reader) (payload []byte, n int, err error) {
-	if br.Buffered() < frameHdrLen {
+// splitFrame returns the payload of the frame buf starts with, and the
+// frame's length on the wire; payload is nil when buf does not hold the
+// whole frame yet. An invalid length prefix is an error.
+func splitFrame(buf []byte) (payload []byte, n int, err error) {
+	if len(buf) < frameHdrLen {
 		return nil, 0, nil
 	}
-	hdr, _ := br.Peek(frameHdrLen)
-	size := int(binary.LittleEndian.Uint32(hdr))
+	size := int(binary.LittleEndian.Uint32(buf))
 	switch {
 	case size == 0:
 		return nil, 0, errBadFrame
 	case size > MaxFrameLen:
 		return nil, 0, errFrameTooLarge
-	case br.Buffered() < frameHdrLen+size:
+	case len(buf) < frameHdrLen+size:
 		return nil, 0, nil
 	}
-	b, _ := br.Peek(frameHdrLen + size)
-	return b[frameHdrLen:], frameHdrLen + size, nil
+	return buf[frameHdrLen : frameHdrLen+size], frameHdrLen + size, nil
 }
 
 // opWireLen returns the packed size of one op (0 for an unknown kind).

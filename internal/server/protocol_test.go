@@ -110,3 +110,14 @@ func TestParseOpResult(t *testing.T) {
 		t.Fatalf("parseOpResult ERR: %v", err)
 	}
 }
+
+// TestParseCommandAllocs: a valid data command, GETAT or PING parses
+// without allocating — the text codec's per-request decode cost.
+func TestParseCommandAllocs(t *testing.T) {
+	for _, line := range []string{"GET 7", "SET 1 2", "DEL 3", "CAS 4 5 6", "GETAT 7 9", "PING"} {
+		b := []byte(line)
+		if n := testing.AllocsPerRun(100, func() { ParseCommand(b) }); n != 0 {
+			t.Errorf("ParseCommand(%q): %v allocs, want 0", line, n)
+		}
+	}
+}

@@ -164,17 +164,6 @@ func (s *Server) admitShards(shards []int) (*Moved, error) {
 	}
 }
 
-// appendMovedLine renders the text-protocol redirect.
-func appendMovedLine(dst []byte, mv *Moved) []byte {
-	dst = append(dst, "MOVED "...)
-	dst = strconv.AppendInt(dst, int64(mv.Shard), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendUint(dst, mv.Epoch, 10)
-	dst = append(dst, ' ')
-	dst = append(dst, mv.Addr...)
-	return append(dst, '\n')
-}
-
 // MovedError is the typed client-side form of a MOVED redirect: the shard,
 // the redirecting node's map epoch, and the owner to retry against.
 type MovedError struct {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -234,7 +235,7 @@ type Server struct {
 
 	readOnly atomic.Bool
 
-	// dispatching counts binary handlers part-way through enqueueing a
+	// dispatching counts connection handlers part-way through enqueueing a
 	// window they have read; see collectBatch.
 	dispatching atomic.Int64
 
@@ -629,7 +630,7 @@ func (s *Server) ApplyAt(lsn uint64, ops []Op, extra func(specpmt.Tx), results [
 	j.pubLSN = lsn
 	j.extra = extra
 	j.ops = append(j.ops, ops...)
-	s.dispatch(j, s.shardSet(ops))
+	s.dispatch(j, s.shardSet(j.shardBuf[:0], j.ops))
 	<-j.done
 	s.release()
 	results = append(results, j.results...)
@@ -848,11 +849,9 @@ func (s *Server) handleConn(c net.Conn) {
 		co.track = s.rec.Track(fmt.Sprintf("conn-%d", id%8))
 	}
 
-	bw := bufio.NewWriter(c)
 	c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	fmt.Fprintf(bw, "SPECPMT 1 engine=%s profile=%s shards=%d\n",
-		s.cfg.Engine, s.cfg.Profile, s.cfg.Shards)
-	if bw.Flush() != nil {
+	if _, err := fmt.Fprintf(c, "SPECPMT 1 engine=%s profile=%s shards=%d\n",
+		s.cfg.Engine, s.cfg.Profile, s.cfg.Shards); err != nil {
 		return
 	}
 
@@ -866,191 +865,477 @@ func (s *Server) handleConn(c net.Conn) {
 	if err != nil {
 		return
 	}
-	if first[0] == BinVersion {
-		if s.cfg.Proto == "text" {
-			s.protoErrs.Add(1)
-			s.writeLine(c, bw, "ERR binary protocol disabled (-proto=text)")
-			return
+	bin := first[0] == BinVersion
+	if s.cfg.Proto == "text" && bin || s.cfg.Proto == "binary" && !bin {
+		s.protoErrs.Add(1)
+		refusal := "ERR binary protocol required (-proto=binary)\n"
+		if bin {
+			refusal = "ERR binary protocol disabled (-proto=text)\n"
 		}
+		c.Write([]byte(refusal))
+		return
+	}
+	var cd codec = &textCodec{s: s}
+	if bin {
 		br.Discard(1)
 		s.binConns.Add(1)
-		s.handleBinary(c, br, bw, &co)
-		return
+		cd = &binCodec{s: s}
 	}
-	if s.cfg.Proto == "binary" {
-		s.protoErrs.Add(1)
-		s.writeLine(c, bw, "ERR binary protocol required (-proto=binary)")
-		return
+	s.serveConn(c, br, cd, &co)
+}
+
+// codec hides one wire format from the connection's window loop.
+type codec interface {
+	// decode decodes the first request in buf, the connection's buffered
+	// bytes, and returns it with the bytes it used; n is 0 when buf holds
+	// no whole request yet. full reports that buf fills the read buffer: a
+	// request that cannot fit breaks the framing. Framing errors decode as
+	// a final ERR reply.
+	decode(buf []byte, full bool) (req request, n int)
+	// barrier runs a barrier verb, turning req into its reply or, for
+	// GETAT, into the GET it becomes once its token is published. Its only
+	// error is ErrClosed.
+	barrier(req request) (request, error)
+	// appendResults encodes a data request's results; snap marks a reply
+	// served from an MVCC snapshot, lsn the published LSN a GETAT saw.
+	appendResults(dst []byte, multi bool, res []Result, modelNs int64, snap bool, lsn uint64) []byte
+	appendMoved(dst []byte, mv *Moved) []byte
+	appendErr(dst []byte, msg string) []byte
+}
+
+type reqKind uint8
+
+const (
+	reqOps     reqKind = iota // data operations, run by serve
+	reqReply                  // answered without the shard workers
+	reqBarrier                // a barrier verb (see serveConn)
+)
+
+// request is one decoded request. Its slices alias codec-owned buffers,
+// valid until the codec decodes again.
+type request struct {
+	kind reqKind
+	// ops are one op or a transaction; multi answers them as a transaction
+	// (text EXEC, a binary frame of more than one op). lsn is what a GETAT
+	// reply carries — on the GETAT barrier, the token to wait for.
+	ops   []Op
+	multi bool
+	lsn   uint64
+	reply []byte
+	quit  bool // hang up after reply
+	verb  Verb
+	line  []byte // an unparsed line for the extension hook, and its error
+	perr  error
+}
+
+// maxConnWindow bounds how many requests one connection may have in flight
+// at once.
+const maxConnWindow = 64
+
+// pending is one request of a window, in arrival order: a dispatched job
+// awaiting its done token, or an encoded reply (kept across windows).
+type pending struct {
+	j     *job
+	multi bool
+	lsn   uint64
+	nsh   int
+	t0    int64
+	reply []byte
+}
+
+// window is a connection's requests between two reply writes.
+type window struct {
+	pend []pending
+	jobs []*job // freelist, one per job-backed slot
+	nj   int    // jobs dispatched, each holding an in-flight slot
+	out  []byte
+	quit bool
+}
+
+func (w *window) push() *pending {
+	if len(w.pend) < cap(w.pend) {
+		w.pend = w.pend[:len(w.pend)+1]
+	} else {
+		w.pend = append(w.pend, pending{})
+	}
+	p := &w.pend[len(w.pend)-1]
+	*p = pending{reply: p.reply[:0]}
+	return p
+}
+
+// serveConn is the one request loop, whatever the wire format. A window
+// opens with a blocking read of one request; requests already fully
+// buffered join it — the handler never blocks on the socket while replies
+// are owed — up to maxConnWindow, each dispatched to the shard workers
+// before any reply is awaited. The replies then go out in arrival order in
+// one write.
+//
+// Barrier verbs (LSN, GETAT, STATS, PROMOTE, extension verbs) never run
+// inside a window's dispatching section: one found later in a window ends
+// it and leads the next, so it runs once every reply ahead of it is
+// written. Inside the section a token or STATS block would miss the writes
+// queued ahead of it, and a GETAT wait or an extension verb calling Apply
+// would block on workers holding their batch open for this very window.
+func (s *Server) serveConn(c net.Conn, br *bufio.Reader, cd codec, co *connObs) {
+	// Deadline re-arming is amortized: a timer modification costs more than
+	// the clock read guarding it. Deadlines are re-armed once a quarter of
+	// their budget has elapsed, so the effective timeout stays within
+	// [3/4, 1] of the configured one.
+	var lastRArm, lastWArm time.Time
+	arm := func(last *time.Time, d time.Duration, set func(time.Time) error) {
+		if now := time.Now(); now.Sub(*last) > d/4 {
+			*last = now
+			set(now.Add(d))
+		}
 	}
 	var (
-		multiOps []Op
-		inMulti  bool
-		replyBuf []byte
-		j        = newJob()
+		w    window
+		req  request
+		held bool // req is decoded but leads the next window
+		err  error
 	)
+	// next decodes the next buffered request into req; with block set it
+	// reads until one is buffered, and false means a read error in err.
+	next := func(block bool) bool {
+		for {
+			buf, _ := br.Peek(br.Buffered())
+			var n int
+			if req, n = cd.decode(buf, len(buf) == br.Size()); n > 0 {
+				br.Discard(n)
+				return true
+			}
+			if !block {
+				return false
+			}
+			arm(&lastRArm, s.cfg.IdleTimeout, c.SetReadDeadline)
+			if _, err = br.Peek(len(buf) + 1); err != nil {
+				return false
+			}
+		}
+	}
 	for {
 		select {
 		case <-s.quit:
 			return
 		default:
 		}
-		c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		line, err := readLine(br)
-		if err != nil {
-			if err == errLineTooLong {
-				s.protoErrs.Add(1)
-				s.writeLine(c, bw, "ERR line too long")
-			}
+		if !held && !next(true) {
 			return
 		}
-		if len(line) > 0 && line[0] == BinVersion {
-			// A binary version byte after text commands: the framing of the
-			// rest of the stream is unknowable, so answer and hang up.
-			s.protoErrs.Add(1)
-			s.writeLine(c, bw, "ERR binary frame on a text connection")
-			return
+		held = false
+		w.pend, w.nj, w.quit = w.pend[:0], 0, false
+		if req.kind == reqBarrier {
+			req, err = cd.barrier(req)
 		}
-		cmd, perr := ParseCommand(line)
-		if perr != nil {
-			// Unknown or malformed: offer the line to the extension-verb
-			// hook (cluster admin commands) before answering ERR.
-			if ext := s.extCommand(); ext != nil {
-				if fields := splitFields(line); len(fields) > 0 {
-					if reply, handled := ext(string(fields[0]), fields[1:]); handled {
-						if !s.writeBytes(c, bw, reply) {
-							return
-						}
-						continue
-					}
-				}
+		// Workers hold their batches open until the whole window is enqueued
+		// (collectBatch); nothing between the Add and its undo returns.
+		s.dispatching.Add(1)
+		for err == nil {
+			if req.kind == reqReply {
+				p := w.push()
+				p.reply = append(p.reply, req.reply...)
+				w.quit = req.quit
+			} else if held, err = s.serve(&w, cd, req); held {
+				break
 			}
-			s.protoErrs.Add(1)
-			if !s.writeLine(c, bw, "ERR "+perr.Error()) {
-				return
+			if err != nil || w.quit || len(w.pend) == maxConnWindow {
+				break
 			}
-			continue
+			if !next(false) {
+				break
+			}
+			if held = req.kind == reqBarrier; held {
+				break
+			}
 		}
-		switch cmd.Verb {
-		case VerbPing:
-			if !s.writeLine(c, bw, "PONG") {
-				return
-			}
-		case VerbLSN:
-			if !s.writeLine(c, bw, "LSN "+strconv.FormatUint(s.pub.Load(), 10)) {
-				return
-			}
-		case VerbGetAt:
-			if inMulti {
-				s.protoErrs.Add(1)
-				if !s.writeLine(c, bw, "ERR GETAT inside MULTI") {
-					return
-				}
+		s.dispatching.Add(-1)
+		// Await the window's jobs in order and encode their replies; this
+		// must complete on every exit so each in-flight slot is released.
+		w.out = w.out[:0]
+		for i := range w.pend {
+			p := &w.pend[i]
+			if p.j == nil {
+				w.out = append(w.out, p.reply...)
 				continue
 			}
-			if !s.execGetAt(c, bw, &co, j, cmd.Op, &replyBuf) {
+			<-p.j.done
+			s.release()
+			if s.stamps {
+				s.observeRequest(co, p.j, p.multi, p.t0, p.nsh)
+			}
+			w.out = cd.appendResults(w.out, p.multi, p.j.results, p.j.modelNs, false, p.lsn)
+		}
+		if len(w.out) > 0 {
+			arm(&lastWArm, s.cfg.WriteTimeout, c.SetWriteDeadline)
+			if _, werr := c.Write(w.out); werr != nil {
 				return
 			}
-		case VerbQuit:
-			s.writeLine(c, bw, "BYE")
+		}
+		if err != nil || w.quit {
 			return
-		case VerbStats:
-			if !s.writeStats(c, bw) {
-				return
-			}
-		case VerbMulti:
-			if inMulti {
-				s.protoErrs.Add(1)
-				if !s.writeLine(c, bw, "ERR MULTI inside MULTI") {
-					return
-				}
-				continue
-			}
-			inMulti, multiOps = true, multiOps[:0]
-			if !s.writeLine(c, bw, "OK") {
-				return
-			}
-		case VerbDiscard:
-			inMulti, multiOps = false, multiOps[:0]
-			if !s.writeLine(c, bw, "OK") {
-				return
-			}
-		case VerbPromote:
-			s.hookMu.Lock()
-			hook := s.promoteHook
-			s.hookMu.Unlock()
-			if hook == nil {
-				if !s.writeLine(c, bw, "ERR not a replica") {
-					return
-				}
-				continue
-			}
-			if err := hook(); err != nil {
-				if !s.writeLine(c, bw, "ERR promote: "+err.Error()) {
-					return
-				}
-				continue
-			}
-			s.log.Info("promoted to primary")
-			if !s.writeLine(c, bw, "OK") {
-				return
-			}
-		case VerbExec:
-			if !inMulti {
-				s.protoErrs.Add(1)
-				if !s.writeLine(c, bw, "ERR EXEC without MULTI") {
-					return
-				}
-				continue
-			}
-			inMulti = false
-			if s.readOnly.Load() && hasWrite(multiOps) {
-				s.roRejected.Add(1)
-				multiOps = multiOps[:0]
-				if !s.writeLine(c, bw, "ERR read-only replica") {
-					return
-				}
-				continue
-			}
-			ok := s.execMulti(c, bw, &co, j, multiOps, &replyBuf)
-			multiOps = multiOps[:0]
-			if !ok {
-				return
-			}
-		case VerbOp:
-			if s.readOnly.Load() && cmd.Op.Kind != OpGet {
-				s.roRejected.Add(1)
-				if inMulti {
-					inMulti, multiOps = false, multiOps[:0]
-					if !s.writeLine(c, bw, "ERR read-only replica (discarded)") {
-						return
-					}
-					continue
-				}
-				if !s.writeLine(c, bw, "ERR read-only replica") {
-					return
-				}
-				continue
-			}
-			if inMulti {
-				if len(multiOps) >= MaxMultiOps {
-					s.protoErrs.Add(1)
-					inMulti, multiOps = false, multiOps[:0]
-					if !s.writeLine(c, bw, "ERR MULTI too large (discarded)") {
-						return
-					}
-					continue
-				}
-				multiOps = append(multiOps, cmd.Op)
-				if !s.writeLine(c, bw, "QUEUED") {
-					return
-				}
-				continue
-			}
-			if !s.execSingle(c, bw, &co, j, cmd.Op, &replyBuf) {
-				return
-			}
 		}
 	}
+}
+
+// serve runs one data request: read-only reject, cluster admission (MOVED),
+// the snapshot fast path, then an in-flight slot and dispatch to the shard
+// workers. Its outcome joins the window as a reply or a dispatched job. A
+// job holds its slot until the whole window is answered, so serve waits
+// for a slot only while the window holds none; after that it takes one
+// only if one is free, and otherwise reports held, having changed nothing:
+// the request leads the next window. err is ErrClosed on shutdown.
+func (s *Server) serve(w *window, cd codec, req request) (held bool, err error) {
+	var t0 int64
+	if s.stamps {
+		t0 = s.nowNs()
+	}
+	write := hasWrite(req.ops)
+	if write && s.readOnly.Load() {
+		s.roRejected.Add(1)
+		p := w.push()
+		p.reply = cd.appendErr(p.reply, "read-only replica")
+		return false, nil
+	}
+	if w.nj == len(w.jobs) {
+		w.jobs = append(w.jobs, newJob())
+	}
+	j := w.jobs[w.nj]
+	j.reset()
+	j.ops = append(j.ops, req.ops...)
+	shards := s.shardSet(j.shardBuf[:0], j.ops)
+	if mv, err := s.admitShards(shards); mv != nil || err != nil {
+		if err == ErrClosed {
+			return false, err
+		}
+		p := w.push()
+		if err != nil {
+			p.reply = cd.appendErr(p.reply, err.Error())
+		} else {
+			p.reply = cd.appendMoved(p.reply, mv)
+		}
+		return false, nil
+	}
+	// Snapshot fast path: single-shard reads are served lock-free from the
+	// shard's MVCC store. Only when nothing earlier in this window was
+	// dispatched to a worker: a queued write ahead must be visible
+	// (read-your-writes), and a queued read ahead would see newer state than
+	// a snapshot read behind it — serving out of order would let this
+	// connection read backwards in time. Such a diversion counts as a
+	// snapshot fallback. j's results are scratch for the encode.
+	snap := s.mvccOn && len(shards) == 1 && !write
+	if snap && w.nj == 0 {
+		if results, _, ok := s.serveSnapshot(shards[0], j.ops, j.results[:0]); ok {
+			j.results = results
+			s.countOps(j.ops, req.multi)
+			if req.multi {
+				s.snapMultis.Add(1)
+			}
+			p := w.push()
+			p.reply = cd.appendResults(p.reply, req.multi, results, 0, true, req.lsn)
+			return false, nil
+		}
+	}
+	if w.nj == 0 {
+		if !s.acquire() {
+			return false, ErrClosed
+		}
+	} else if !s.tryAcquire() {
+		return true, nil
+	} else if snap {
+		s.snapFallbacks.Add(uint64(len(j.ops)))
+	}
+	w.nj++
+	s.countOps(j.ops, req.multi)
+	p := w.push()
+	p.j, p.multi, p.lsn, p.nsh, p.t0 = j, req.multi, req.lsn, len(shards), t0
+	if s.stamps {
+		j.wallEnq = s.nowNs()
+	}
+	s.dispatch(j, shards)
+	return false, nil
+}
+
+// countOps counts a request's operations, and a transaction once.
+func (s *Server) countOps(ops []Op, multi bool) {
+	for _, op := range ops {
+		s.opCounts[op.Kind].Add(1)
+	}
+	if multi {
+		s.multis.Add(1)
+	}
+}
+
+// textCodec is the text protocol (protocol.go). It holds the connection's
+// MULTI state: MULTI, queueing and DISCARD are answered inline, and EXEC
+// yields the queued block as one request.
+type textCodec struct {
+	s        *Server
+	inMulti  bool
+	multiOps []Op
+	one      [1]Op
+	out      []byte // inline replies
+	ext      []byte
+}
+
+func (t *textCodec) decode(buf []byte, full bool) (request, int) {
+	i := bytes.IndexByte(buf, '\n')
+	line := bytes.TrimSuffix(buf[:max(i, 0)], []byte("\r"))
+	switch {
+	case i < 0 && !full:
+		return request{}, 0
+	case i < 0 || len(line) > MaxLineLen:
+		return t.poison("line too long"), len(buf)
+	case len(line) > 0 && line[0] == BinVersion:
+		// A binary version byte after text commands: the framing of the
+		// rest of the stream is unknowable, so answer and hang up.
+		return t.poison("binary frame on a text connection"), len(buf)
+	}
+	return t.command(line), i + 1
+}
+
+func (t *textCodec) command(line []byte) request {
+	cmd, err := ParseCommand(line)
+	if err != nil {
+		t.ext = append(t.ext[:0], line...)
+		return request{kind: reqBarrier, line: t.ext, perr: err}
+	}
+	switch cmd.Verb {
+	case VerbPing:
+		return t.inline("PONG")
+	case VerbQuit:
+		return request{kind: reqReply, reply: []byte("BYE\n"), quit: true}
+	case VerbLSN, VerbStats, VerbPromote:
+		return request{kind: reqBarrier, verb: cmd.Verb}
+	case VerbGetAt:
+		if t.inMulti {
+			return t.protoErr("GETAT inside MULTI")
+		}
+		t.one[0] = Op{Kind: OpGet, Key: cmd.Op.Key}
+		return request{kind: reqBarrier, verb: VerbGetAt, ops: t.one[:], lsn: cmd.Op.Arg1}
+	case VerbMulti:
+		if t.inMulti {
+			return t.protoErr("MULTI inside MULTI")
+		}
+		t.inMulti, t.multiOps = true, t.multiOps[:0]
+		return t.inline("OK")
+	case VerbDiscard:
+		t.inMulti, t.multiOps = false, t.multiOps[:0]
+		return t.inline("OK")
+	case VerbExec:
+		if !t.inMulti {
+			return t.protoErr("EXEC without MULTI")
+		}
+		t.inMulti = false
+		if len(t.multiOps) == 0 {
+			return t.inline("RESULTS 0\nEND t=0")
+		}
+		return request{ops: t.multiOps, multi: true}
+	}
+	if !t.inMulti {
+		t.one[0] = cmd.Op
+		return request{ops: t.one[:]}
+	}
+	if t.s.readOnly.Load() && cmd.Op.Kind != OpGet {
+		t.s.roRejected.Add(1)
+		t.inMulti = false
+		return t.inline("ERR read-only replica (discarded)")
+	}
+	if len(t.multiOps) >= MaxMultiOps {
+		t.inMulti = false
+		return t.protoErr("MULTI too large (discarded)")
+	}
+	t.multiOps = append(t.multiOps, cmd.Op)
+	return t.inline("QUEUED")
+}
+
+func (t *textCodec) barrier(req request) (request, error) {
+	s := t.s
+	if req.perr != nil {
+		// Unknown or malformed: offer the line to the extension-verb hook
+		// (cluster admin commands) before answering ERR.
+		if ext := s.extCommand(); ext != nil {
+			if fields := splitFields(req.line); len(fields) > 0 {
+				if reply, handled := ext(string(fields[0]), fields[1:]); handled {
+					return request{kind: reqReply, reply: reply}, nil
+				}
+			}
+		}
+		return t.protoErr(req.perr.Error()), nil
+	}
+	switch req.verb {
+	case VerbLSN:
+		return t.inline("LSN " + strconv.FormatUint(s.pub.Load(), 10)), nil
+	case VerbStats:
+		t.out = s.appendStats(t.out[:0])
+		return request{kind: reqReply, reply: t.out}, nil
+	case VerbPromote:
+		s.hookMu.Lock()
+		hook := s.promoteHook
+		s.hookMu.Unlock()
+		if hook == nil {
+			return t.inline("ERR not a replica"), nil
+		}
+		if err := hook(); err != nil {
+			return t.inline("ERR promote: " + err.Error()), nil
+		}
+		s.log.Info("promoted to primary")
+		return t.inline("OK"), nil
+	}
+	// GETAT: once the published LSN reaches the token, a GET whose reply
+	// carries lsn=<published>, the client's refreshed session token.
+	pub, reached := s.waitPublished(req.lsn)
+	if !reached {
+		select {
+		case <-s.quit:
+			return req, ErrClosed
+		default:
+		}
+		return t.inline("ERR published LSN " + strconv.FormatUint(pub, 10) +
+			" below token (timeout)"), nil
+	}
+	return request{ops: req.ops, lsn: pub}, nil
+}
+
+func (t *textCodec) inline(line string) request {
+	t.out = append(append(t.out[:0], line...), '\n')
+	return request{kind: reqReply, reply: t.out}
+}
+
+func (t *textCodec) protoErr(msg string) request {
+	t.s.protoErrs.Add(1)
+	return t.inline("ERR " + msg)
+}
+
+// poison answers a stream the server can no longer frame, and hangs up.
+func (t *textCodec) poison(msg string) request {
+	r := t.protoErr(msg)
+	r.quit = true
+	return r
+}
+
+func (t *textCodec) appendResults(dst []byte, multi bool, res []Result, modelNs int64, snap bool, lsn uint64) []byte {
+	if !multi {
+		return AppendResultExt(dst, res[0], modelNs, snap, lsn)
+	}
+	dst = append(dst, "RESULTS "...)
+	dst = strconv.AppendInt(dst, int64(len(res)), 10)
+	dst = append(dst, '\n')
+	for _, r := range res {
+		dst = AppendResult(dst, r, -1)
+	}
+	dst = append(dst, "END t="...)
+	dst = strconv.AppendInt(dst, modelNs, 10)
+	return append(dst, '\n')
+}
+
+func (t *textCodec) appendMoved(dst []byte, mv *Moved) []byte {
+	dst = strconv.AppendInt(append(dst, "MOVED "...), int64(mv.Shard), 10)
+	dst = strconv.AppendUint(append(dst, ' '), mv.Epoch, 10)
+	return append(append(append(dst, ' '), mv.Addr...), '\n')
+}
+
+func (t *textCodec) appendErr(dst []byte, msg string) []byte {
+	return append(append(append(dst, "ERR "...), msg...), '\n')
 }
 
 // acquire takes one in-flight slot, or reports shutdown.
@@ -1074,176 +1359,6 @@ func (s *Server) tryAcquire() bool {
 }
 
 func (s *Server) release() { <-s.inflight }
-
-func (s *Server) execSingle(c net.Conn, bw *bufio.Writer, co *connObs, j *job, op Op, replyBuf *[]byte) bool {
-	var t0 int64
-	if s.stamps {
-		t0 = s.nowNs()
-	}
-	shards := []int{s.shardOf(op.Key)}
-	if mv, err := s.admitShards(shards); mv != nil || err != nil {
-		if err == ErrClosed {
-			return false
-		}
-		if err != nil {
-			return s.writeLine(c, bw, "ERR "+err.Error())
-		}
-		*replyBuf = appendMovedLine((*replyBuf)[:0], mv)
-		return s.writeBytes(c, bw, *replyBuf)
-	}
-	if op.Kind == OpGet {
-		// Snapshot fast path: serve the read lock-free from the shard's
-		// published version store, bypassing the worker queue entirely.
-		j.reset()
-		j.ops = append(j.ops, op)
-		if results, _, ok := s.serveSnapshot(shards[0], j.ops, j.results[:0]); ok {
-			s.opCounts[OpGet].Add(1)
-			j.results = results
-			*replyBuf = AppendResultExt((*replyBuf)[:0], j.results[0], 0, true, 0)
-			return s.writeBytes(c, bw, *replyBuf)
-		}
-		j.reset()
-	}
-	if !s.acquire() {
-		return false
-	}
-	s.opCounts[op.Kind].Add(1)
-	j.reset()
-	j.ops = append(j.ops, op)
-	if s.stamps {
-		j.wallEnq = s.nowNs()
-	}
-	s.dispatch(j, shards)
-	<-j.done
-	s.release()
-	if s.stamps {
-		s.observeRequest(co, j, op.Kind.String(), t0, 1)
-	}
-	*replyBuf = AppendResult((*replyBuf)[:0], j.results[0], j.modelNs)
-	return s.writeBytes(c, bw, *replyBuf)
-}
-
-func (s *Server) execMulti(c net.Conn, bw *bufio.Writer, co *connObs, j *job, ops []Op, replyBuf *[]byte) bool {
-	if len(ops) == 0 {
-		return s.writeLine(c, bw, "RESULTS 0") && s.writeLine(c, bw, "END t=0")
-	}
-	var t0 int64
-	if s.stamps {
-		t0 = s.nowNs()
-	}
-	shards := s.shardSet(ops)
-	if mv, err := s.admitShards(shards); mv != nil || err != nil {
-		if err == ErrClosed {
-			return false
-		}
-		if err != nil {
-			return s.writeLine(c, bw, "ERR "+err.Error())
-		}
-		*replyBuf = appendMovedLine((*replyBuf)[:0], mv)
-		return s.writeBytes(c, bw, *replyBuf)
-	}
-	if len(shards) == 1 && !hasWrite(ops) {
-		// Single-shard read-only MULTI: one snapshot serves the whole block
-		// atomically. Cross-shard read-only MULTIs stay on the queued path —
-		// per-shard snapshots cannot cut a cross-shard write atomically.
-		j.reset()
-		if results, _, ok := s.serveSnapshot(shards[0], ops, j.results[:0]); ok {
-			s.multis.Add(1)
-			s.snapMultis.Add(1)
-			s.opCounts[OpGet].Add(uint64(len(ops)))
-			j.results = results
-			buf := (*replyBuf)[:0]
-			buf = append(buf, "RESULTS "...)
-			buf = strconv.AppendInt(buf, int64(len(j.results)), 10)
-			buf = append(buf, '\n')
-			for _, r := range j.results {
-				buf = AppendResult(buf, r, -1)
-			}
-			buf = append(buf, "END t=0\n"...)
-			*replyBuf = buf
-			return s.writeBytes(c, bw, buf)
-		}
-		j.reset()
-	}
-	if !s.acquire() {
-		return false
-	}
-	s.multis.Add(1)
-	for _, op := range ops {
-		s.opCounts[op.Kind].Add(1)
-	}
-	j.reset()
-	j.ops = append(j.ops, ops...)
-	if s.stamps {
-		j.wallEnq = s.nowNs()
-	}
-	s.dispatch(j, shards)
-	<-j.done
-	s.release()
-	if s.stamps {
-		s.observeRequest(co, j, "MULTI", t0, len(shards))
-	}
-	buf := (*replyBuf)[:0]
-	buf = append(buf, "RESULTS "...)
-	buf = strconv.AppendInt(buf, int64(len(j.results)), 10)
-	buf = append(buf, '\n')
-	for _, r := range j.results {
-		buf = AppendResult(buf, r, -1)
-	}
-	buf = append(buf, "END t="...)
-	buf = strconv.AppendInt(buf, j.modelNs, 10)
-	buf = append(buf, '\n')
-	*replyBuf = buf
-	return s.writeBytes(c, bw, buf)
-}
-
-// execGetAt serves one GETAT: wait until the published LSN reaches the
-// token (op.Arg1), then read op.Key — from the shard's snapshot store when
-// the fast path is available, through the worker queue otherwise. The reply
-// carries lsn=<published> so the client can refresh its session token.
-func (s *Server) execGetAt(c net.Conn, bw *bufio.Writer, co *connObs, j *job, op Op, replyBuf *[]byte) bool {
-	pub, reached := s.waitPublished(op.Arg1)
-	if !reached {
-		select {
-		case <-s.quit:
-			return false
-		default:
-		}
-		return s.writeLine(c, bw, "ERR published LSN "+strconv.FormatUint(pub, 10)+
-			" below token (timeout)")
-	}
-	get := Op{Kind: OpGet, Key: op.Key}
-	shards := []int{s.shardOf(op.Key)}
-	if mv, err := s.admitShards(shards); mv != nil || err != nil {
-		if err == ErrClosed {
-			return false
-		}
-		if err != nil {
-			return s.writeLine(c, bw, "ERR "+err.Error())
-		}
-		*replyBuf = appendMovedLine((*replyBuf)[:0], mv)
-		return s.writeBytes(c, bw, *replyBuf)
-	}
-	j.reset()
-	j.ops = append(j.ops, get)
-	if results, _, ok := s.serveSnapshot(shards[0], j.ops, j.results[:0]); ok {
-		s.opCounts[OpGet].Add(1)
-		j.results = results
-		*replyBuf = AppendResultExt((*replyBuf)[:0], j.results[0], 0, true, pub)
-		return s.writeBytes(c, bw, *replyBuf)
-	}
-	j.reset()
-	if !s.acquire() {
-		return false
-	}
-	s.opCounts[OpGet].Add(1)
-	j.ops = append(j.ops, get)
-	s.dispatch(j, shards)
-	<-j.done
-	s.release()
-	*replyBuf = AppendResultExt((*replyBuf)[:0], j.results[0], j.modelNs, false, pub)
-	return s.writeBytes(c, bw, *replyBuf)
-}
 
 // dispatch routes a job to its shard worker — or, when the operations span
 // several shards, enqueues it to every involved worker under the multi
@@ -1278,32 +1393,18 @@ func ShardOf(key uint64, shards int) int {
 	return int(key % uint64(shards))
 }
 
-// shardSet returns the sorted distinct shards ops touch.
-func (s *Server) shardSet(ops []Op) []int {
+// shardSet appends the sorted distinct shards ops touch to dst.
+func (s *Server) shardSet(dst []int, ops []Op) []int {
 	var mask uint32
 	for _, op := range ops {
 		mask |= 1 << uint(s.shardOf(op.Key))
 	}
-	var out []int
 	for i := 0; i < len(s.shards); i++ {
 		if mask&(1<<uint(i)) != 0 {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
-}
-
-func (s *Server) writeLine(c net.Conn, bw *bufio.Writer, line string) bool {
-	c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	bw.WriteString(line)
-	bw.WriteByte('\n')
-	return bw.Flush() == nil
-}
-
-func (s *Server) writeBytes(c net.Conn, bw *bufio.Writer, b []byte) bool {
-	c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	bw.Write(b)
-	return bw.Flush() == nil
+	return dst
 }
 
 // registerMetrics declares the server's metric families and its collectors.
@@ -1491,16 +1592,6 @@ func (s *Server) collectMetrics(emit func(obs.Sample)) {
 	}
 }
 
-// writeStats renders the STATS block from one registry gather — the same
-// single-epoch snapshot /metrics scrapes, so every numeric STATS field has
-// an equal-valued series there and no two fields can straddle a worker's
-// publish.
-func (s *Server) writeStats(c net.Conn, bw *bufio.Writer) bool {
-	c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	bw.Write(s.appendStats(nil))
-	return bw.Flush() == nil
-}
-
 // appendStats renders the STATS block (shared by the text STATS command and
 // the binary STATSREPLY frame) from one registry gather.
 func (s *Server) appendStats(dst []byte) []byte {
@@ -1522,8 +1613,12 @@ func (s *Server) appendStats(dst []byte) []byte {
 // observeRequest records the finished job's wall-clock spans (whole request,
 // queue wait, execution) and emits the slow-op log line when the request
 // crossed the threshold. Called with stamps on.
-func (s *Server) observeRequest(co *connObs, j *job, verb string, t0 int64, nshards int) {
+func (s *Server) observeRequest(co *connObs, j *job, multi bool, t0 int64, nshards int) {
 	now := s.nowNs()
+	verb := "MULTI"
+	if !multi {
+		verb = j.ops[0].Kind.String()
+	}
 	if s.rec != nil {
 		s.rec.Record(
 			obs.Span{Kind: obs.SpanRequest, Track: co.track, Start: t0, End: now,
@@ -1578,27 +1673,4 @@ func (s *Server) snapshot() (specpmt.Counters, uint64, int64) {
 		}
 	}
 	return agg, keys, modelNs
-}
-
-var errLineTooLong = errors.New("server: line too long")
-
-// readLine reads one newline-terminated line, rejecting lines longer than
-// MaxLineLen. The returned slice is valid until the next read.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		return nil, errLineTooLong
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Trim the newline and an optional carriage return.
-	line = line[:len(line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	if len(line) > MaxLineLen {
-		return nil, errLineTooLong
-	}
-	return line, nil
 }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -281,5 +283,163 @@ func TestWindowedCrossShardMulti(t *testing.T) {
 				t.Fatalf("round %d GET %d = %+v, %v", round, k, r, err)
 			}
 		}
+	}
+}
+
+// sendRaw puts lines on the wire in one Write.
+func sendRaw(c *Client, lines string) error {
+	c.bw.WriteString(lines)
+	return c.Flush()
+}
+
+// barrierServer is a one-shard server for the barrier tests. A barrier
+// verb run inside a dispatch window deadlocks the handler, and Close would
+// wait for it forever, so a failed test leaves the server open.
+func barrierServer(t *testing.T) *Server {
+	t.Helper()
+	s, err := New(Config{Shards: 1, PoolSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if !t.Failed() {
+			s.Close()
+		}
+	})
+	return s
+}
+
+// within fails the test when fn does not return within d, hanging up c so
+// nothing else blocks on it — a barrier verb run inside a dispatch window
+// hangs instead of failing.
+func within(t *testing.T, c *Client, d time.Duration, what string, fn func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(d):
+		c.conn.Close()
+		t.Fatalf("%s: no reply within %v", what, d)
+	}
+}
+
+// expectLine reads one reply line and checks its prefix.
+func expectLine(c *Client, prefix string) (string, error) {
+	line, err := c.readLine()
+	if err != nil {
+		return "", err
+	}
+	if !strings.HasPrefix(string(line), prefix) {
+		return "", fmt.Errorf("got %q, want %s...", line, prefix)
+	}
+	return string(line), nil
+}
+
+// TestBarrierLSNAfterQueuedSet: LSN pipelined behind a SET must wait for it.
+// Inside the SET's window the token would be taken before the SET
+// publishes, and a GETAT carrying it could not promise the SET.
+func TestBarrierLSNAfterQueuedSet(t *testing.T) {
+	s := barrierServer(t)
+	c := pipeClient(t, s, "text")
+	within(t, c, 10*time.Second, "SET+LSN", func() error {
+		if err := sendRaw(c, "SET 5 77\nLSN\n"); err != nil {
+			return err
+		}
+		if _, err := expectLine(c, "OK"); err != nil {
+			return err
+		}
+		line, err := expectLine(c, "LSN ")
+		if err != nil {
+			return err
+		}
+		token, err := strconv.ParseUint(strings.TrimPrefix(line, "LSN "), 10, 64)
+		if err != nil {
+			return err
+		}
+		if pub := s.PublishedLSN(); token < pub {
+			return fmt.Errorf("LSN token %d is older than the SET it follows (published %d)", token, pub)
+		}
+		if r, err := c.GetAt(5, token); err != nil || r.Status != StatusValue || r.Val != 77 {
+			return fmt.Errorf("GETAT 5 %d = %+v %v", token, r, err)
+		}
+		return nil
+	})
+}
+
+// TestBarrierExtApplyBehindQueuedSet: an extension verb whose hook calls
+// Apply, pipelined behind a SET, must complete. Inside the SET's window
+// the hook would wait on a worker that holds its batch open for the window.
+func TestBarrierExtApplyBehindQueuedSet(t *testing.T) {
+	s := barrierServer(t)
+	s.OnExtCommand(func(verb string, args [][]byte) ([]byte, bool) {
+		if verb != "APPLYSET" {
+			return nil, false
+		}
+		if _, err := s.Apply([]Op{{Kind: OpSet, Key: 9, Arg1: 1}}, nil, nil); err != nil {
+			return []byte("ERR " + err.Error() + "\n"), true
+		}
+		return []byte("APPLIED\n"), true
+	})
+	c := pipeClient(t, s, "text")
+	within(t, c, 10*time.Second, "SET+APPLYSET", func() error {
+		if err := sendRaw(c, "SET 5 1\nAPPLYSET\n"); err != nil {
+			return err
+		}
+		if _, err := expectLine(c, "OK"); err != nil {
+			return err
+		}
+		_, err := expectLine(c, "APPLIED")
+		return err
+	})
+}
+
+// TestBarrierGetAtBehindQueuedSet: a GETAT waiting for the LSN of a SET
+// pipelined ahead of it must be answered at once. Inside the SET's window
+// it would wait out getAtTimeout while the worker holds the SET's batch
+// open for the window.
+func TestBarrierGetAtBehindQueuedSet(t *testing.T) {
+	s := barrierServer(t)
+	c := pipeClient(t, s, "text")
+	within(t, c, getAtTimeout/2, "SET+GETAT", func() error {
+		if err := sendRaw(c, fmt.Sprintf("SET 5 42\nGETAT 5 %d\n", s.PublishedLSN()+1)); err != nil {
+			return err
+		}
+		if _, err := expectLine(c, "OK"); err != nil {
+			return err
+		}
+		r, err := c.RecvResult()
+		if err != nil || r.Status != StatusValue || r.Val != 42 {
+			return fmt.Errorf("GETAT behind the SET = %+v %v", r, err)
+		}
+		return nil
+	})
+}
+
+// TestCodecAllocs: a text GET or SET round trip allocates no more than a
+// binary one, client and server together.
+func TestCodecAllocs(t *testing.T) {
+	s, err := New(Config{Shards: 1, PoolSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	allocs := map[string][2]float64{}
+	for _, proto := range []string{"text", "binary"} {
+		c := pipeClient(t, s, proto)
+		if _, err := c.Set(1, 1); err != nil {
+			t.Fatal(err)
+		}
+		get := testing.AllocsPerRun(200, func() { c.Get(1) })
+		set := testing.AllocsPerRun(200, func() { c.Set(1, 2) })
+		allocs[proto] = [2]float64{get, set}
+	}
+	txt, bin := allocs["text"], allocs["binary"]
+	t.Logf("allocs per round trip: text GET %v SET %v, binary GET %v SET %v", txt[0], txt[1], bin[0], bin[1])
+	if txt[0] > bin[0] || txt[1] > bin[1] {
+		t.Fatalf("text allocates more than binary: GET %v > %v or SET %v > %v", txt[0], bin[0], txt[1], bin[1])
 	}
 }

@@ -96,6 +96,9 @@ type job struct {
 	wallEnq, wallExec, wallCommit0, wallCommit1 int64
 	multi                                       *multiJob // nil for single-shard jobs
 	done                                        chan struct{}
+	// shardBuf backs the job's shard set, so dispatching it allocates
+	// nothing for a single-shard request.
+	shardBuf [specpmt.RootSlots]int
 	// extra, when non-nil, runs inside the job's transaction after its ops
 	// — replication replay stamps applied-LSN cells with it.
 	extra func(specpmt.Tx)
@@ -170,8 +173,8 @@ func (s *Server) runWorker(sh *shard) {
 // the moment the queue is dry: coalescing comes from overlap — what arrived
 // while the worker or a connection's previous window was busy — never from
 // waiting (DESIGN.md §4d). Two rules keep "dry" honest without a clock:
-// (1) the queue is not dry while a binary handler is still dispatching a
-// window it has already read, unless that handler may itself be blocked on
+// (1) the queue is not dry while a connection handler is still dispatching
+// a window it has already read, unless that handler may itself be blocked on
 // the workers (waiting at a full in-flight gate while its window holds no
 // slot yet, a shard frozen at admission); (2) the
 // worker yields once before going dry, so a handler the netpoller has
