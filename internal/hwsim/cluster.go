@@ -24,6 +24,12 @@ import (
 type Coordinator struct {
 	mu      sync.Mutex
 	threads []*SpecHPMT
+	// images counts, per page, the page-image records live in the threads'
+	// speculative logs. Merged recovery replays such an image over the
+	// page, so a store to an imaged page must reach a speculative log with
+	// a later timestamp: a cold store, persisted in place and logged
+	// nowhere, would be regressed by the replay (see SpecHPMT.Store).
+	images map[uint64]int
 	// unsafeMode disables the protocol; it exists so tests can demonstrate
 	// the hazard the protocol prevents.
 	unsafeMode bool
@@ -34,6 +40,26 @@ func (co *Coordinator) register(e *SpecHPMT) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.threads = append(co.threads, e)
+}
+
+// noteImage adjusts the live page-image count of page by delta.
+func (co *Coordinator) noteImage(page uint64, delta int) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if co.images == nil {
+		co.images = map[uint64]int{}
+	}
+	if co.images[page] += delta; co.images[page] <= 0 {
+		delete(co.images, page)
+	}
+}
+
+// imaged reports whether any thread's speculative log holds a live image
+// of page.
+func (co *Coordinator) imaged(page uint64) bool {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return co.images[page] > 0
 }
 
 // canReclaim checks condition (2) for the caller's oldest epoch ending at
@@ -172,6 +198,9 @@ func (cl *Cluster) Recover() error {
 		})
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].ts < recs[j].ts })
+	cl.coord.mu.Lock()
+	cl.coord.images = nil // every log retires below
+	cl.coord.mu.Unlock()
 	touched := txn.NewWriteSet()
 	for _, r := range recs {
 		c.StoreRaw(r.addr, r.data)

@@ -278,3 +278,48 @@ func TestClusterDeferredReclamationEventuallyRuns(t *testing.T) {
 		t.Fatal("thread 2 never reclaimed")
 	}
 }
+
+// TestClusterColdWriteToPageHotElsewhere pins the fix for a torn replica
+// replay: one thread's log holds a page image, another thread then stores
+// to a different line of that page, which its own TLB sees as cold. Merged
+// recovery replays the image, so the store must be logged after it — were
+// it persisted in place and logged nowhere, the replay would regress it.
+func TestClusterColdWriteToPageHotElsewhere(t *testing.T) {
+	w := txntest.NewWorld(128 << 20)
+	envs := clusterEnvs(w, 2)
+	cl, err := NewCluster(envs, confOpts(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := w.DataHeap.Alloc(pmem.PageSize)
+	// Thread 0 drives the page hot: its log holds the page image.
+	for r := uint64(1); r <= 3; r++ {
+		tx := cl.Engine(0).Begin()
+		for k := 0; k < hotThreshold+1; k++ {
+			tx.StoreUint64(page+pmem.Addr(k*8), r)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Thread 1 writes another line of the same page, cold on its TLB.
+	line := page + 10*pmem.LineSize
+	tx := cl.Engine(1).Begin()
+	tx.StoreUint64(line, 42)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	w.Dev.Crash(sim.NewRand(1))
+	var envs2 []txn.Env
+	for _, env := range envs {
+		envs2 = append(envs2, w.SameEnv(env))
+	}
+	cl2, _ := NewCluster(envs2, confOpts(false))
+	if err := cl2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Dev.NewCore().LoadUint64(line); got != 42 {
+		t.Fatalf("thread 1's committed write regressed to %d", got)
+	}
+}

@@ -274,6 +274,19 @@ func (t *hpmtTx) Store(addr pmem.Addr, data []byte) {
 		}
 		page := l / (pmem.PageSize / pmem.LineSize)
 		te := e.cpu.TLB.Lookup(page)
+		if !te.EpochBit && !e.specDisabled && e.coord != nil && e.coord.imaged(page) {
+			// A speculative log — another thread's, or this thread's from
+			// before its TLB lost track of the page — holds an image of
+			// the page, which merged recovery replays. A cold store would
+			// persist in place with no record ordered after that image and
+			// be regressed by it, so the page goes hot here: a fresh image
+			// (capturing every committed write so far) and commit records,
+			// all stamped after the older image.
+			if err := e.makeHot(page, te); err != nil {
+				t.err = err
+				return
+			}
+		}
 		if te.EpochBit {
 			t.hotLines[l] = true
 			continue
@@ -335,6 +348,9 @@ func (e *SpecHPMT) makeHot(page uint64, te *tlbEntry) error {
 	e.cpu.Core.Compute(200) // bulk copy engine issue latency
 	te.EpochBit = true
 	te.CntEID = e.cur.eid
+	if e.coord != nil {
+		e.coord.noteImage(page, 1)
+	}
 	e.cur.pages++
 	e.cpu.Core.Stats.PageCopies++
 	return nil
@@ -585,6 +601,9 @@ func (e *SpecHPMT) reclaimOldestEpoch() bool {
 			break
 		}
 		e.flushRecordData(payload, flushed)
+		if e.coord != nil && len(payload) == 24+pmem.PageSize && payload[0] == recKindPage {
+			e.coord.noteImage(binary.LittleEndian.Uint64(payload[16:]), -1)
+		}
 		off = next
 	}
 	c.Fence()

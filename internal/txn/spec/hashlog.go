@@ -119,7 +119,7 @@ func (e *HashEngine) Begin() txn.Tx {
 
 type hashTx struct {
 	e      *HashEngine
-	ents   []pendingEnt
+	ents   []logEntry
 	byAddr map[pmem.Addr]int
 	old    map[pmem.Addr][]byte
 	done   bool
@@ -176,7 +176,7 @@ func (t *hashTx) Store(addr pmem.Addr, data []byte) {
 	t.byAddr[addr] = len(t.ents)
 	val := t.arena.Grab(len(data))
 	copy(val, data)
-	t.ents = append(t.ents, pendingEnt{addr: addr, val: val})
+	t.ents = append(t.ents, logEntry{addr: addr, val: val})
 }
 
 func (e *HashEngine) slotIndex(addr pmem.Addr) (int, error) {

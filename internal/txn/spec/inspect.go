@@ -25,8 +25,8 @@ func (e *Engine) DumpLog(w io.Writer) {
 	e.ch.scanAll(e.env.Core, func(loc recLoc, rec []byte) bool {
 		ts, ents := decodeEntries(rec)
 		records++
-		fmt.Fprintf(w, "  record @%d+%d ts=%d size=%dB entries=%d\n",
-			loc.block, loc.off, ts, len(rec), len(ents))
+		fmt.Fprintf(w, "  record @%d+%d ts=%d %s size=%dB slot=%dB entries=%d\n",
+			loc.block, loc.off, ts, recordForm(rec), len(rec), slotBytes(len(rec)), len(ents))
 		for _, en := range ents {
 			state := "stale"
 			if ie, ok := e.index[en.Addr]; ok && ie.rec == loc && ie.valOff == en.ValOff {
@@ -129,15 +129,15 @@ func (e *Engine) verifyLocked(allocated func(addr pmem.Addr, n int) bool) (map[r
 			return nil, fmt.Errorf("spec: index entry for addr %d points at no committed record (block %d off %d)",
 				addr, ie.rec.block, ie.rec.off)
 		}
-		if ie.valOff < recHeader || ie.valOff+ie.size > len(rec)-recFooter {
-			return nil, fmt.Errorf("spec: index entry for addr %d has value [%d:%d) outside record of %d bytes",
-				addr, ie.valOff, ie.valOff+ie.size, len(rec))
+		if !holdsEntry(rec, addr, ie.valOff, ie.size) {
+			return nil, fmt.Errorf("spec: index entry for addr %d names value [%d:%d), which is no entry of its %d-byte %s record",
+				addr, ie.valOff, ie.valOff+ie.size, len(rec), recordForm(rec))
 		}
 		// Recovery's coverage records pack many cells into one record
 		// stamped with the group's max timestamp while the index keeps
 		// each cell's own; an index entry NEWER than its record, though,
 		// points at a value that cannot be the one it claims.
-		if ts := getU64(rec, 8); ie.ts > ts {
+		if ts := recordTS(rec); ie.ts > ts {
 			return nil, fmt.Errorf("spec: index entry for addr %d stamped ts %d, newer than its record's ts %d", addr, ie.ts, ts)
 		}
 	}

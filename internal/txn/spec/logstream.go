@@ -17,31 +17,61 @@ import (
 //
 // Block layout:
 //
-//	[ next block address : 8 bytes ]
-//	[ incarnation        : 8 bytes ]
-//	[ payload: records ...         ]
+//	[ next block address : 8 bytes  ]
+//	[ incarnation        : 8 bytes  ]
+//	[ reserved           : 16 bytes ]
+//	[ payload: records ...          ]
 //
-// Records are contiguous within one block; when a record does not fit in the
-// remaining payload a pad marker closes the block and the record starts in a
-// freshly linked block. Record layout:
+// The payload is cut into 32-byte slots, and every record starts on one.
+// Log blocks are line-aligned and the header is one slot long, so a slot is
+// also 32-byte aligned on the device: a record of at most 32 bytes never
+// straddles a cache line, and two of them share one. A record is followed
+// by the next at the first slot past its end; the gap bytes in between are
+// never written and never read. When a record does not fit in the
+// remaining payload, a pad marker at the next slot closes the block and the
+// record starts in a freshly linked block.
 //
-//	[ size u32 | nentries u32 | timestamp u64 | entries... | checksum u64 ]
-//	entry: [ addr u64 | size u32 | value bytes ]
+// A record takes one of two forms, told apart by bit 31 of its first word:
+//
+//	compact: [ 1<<31 | addr>>32 u32 | addr u32 | timestamp u64 | value u64 | checksum u64 ]
+//	sized:   [ size u32 | nentries u32 | timestamp u64 | entries... | checksum u64 ]
+//	         entry: [ addr u64 | size u32 | value bytes ]
+//
+// The 32-byte compact form holds exactly one 8-byte value at an address
+// below 2^62: a lone 8-byte store, the commonest transaction. Everything
+// else is sized; its size is bounded by the block payload, so bit 31 of its
+// first word is clear. The pad marker 0xFFFFFFFF is neither, because a
+// compact record's second-highest bit is clear. Both forms keep the
+// timestamp at offset 8.
 //
 // The checksum doubles as the commit marker (§4.1): a record is committed
 // iff its stored checksum matches its contents. It is salted with the
 // containing block's incarnation and the record's offset, so residual bytes
 // of recycled blocks can never masquerade as live records.
+//
+// This file is the only code that knows the record layout: every writer
+// goes through encodeRecord (via chain.appendEntries) and every reader
+// through scanAll and decodeEntries.
 const (
-	blockHeader = 16
+	blockHeader = 32
+	recSlot     = 32
 	recHeader   = 4 + 4 + 8 // size, nentries, timestamp
 	recFooter   = 8         // salted checksum
 	entHeader   = 8 + 4     // addr, size
 	padMarker   = 0xFFFFFFFF
+
+	compactLen   = 32
+	compactVal   = 16 // value offset inside a compact record
+	compactFlag  = 1 << 31
+	compactLimit = 1 << 62 // addresses at or above it need the sized form
 )
 
 // errRecordTooLarge reports a transaction whose record exceeds one block.
 var errRecordTooLarge = fmt.Errorf("spec: transaction record exceeds log block payload")
+
+// errMalformedRecord reports record bytes whose first word does not announce
+// their own length — e.g. a sized record whose size word has bit 31 set.
+var errMalformedRecord = fmt.Errorf("spec: malformed log record")
 
 // recLoc identifies a record (or an entry inside one) by block address and
 // byte offset within the block payload — stable across chain splices.
@@ -58,12 +88,15 @@ type chain struct {
 	bsize int
 
 	blocks []pmem.Addr
-	used   int // payload bytes used in the final block
+	used   int // payload offset of the final block's next free slot
 	incarn map[pmem.Addr]uint64
 	// unflushed tracks device ranges written since the last flushPending —
 	// record bytes, pad markers, block headers, and next pointers — so the
 	// single commit fence persists everything a record's validity needs.
 	unflushed []span
+	// buf stages the record appendEntries encodes; appendRecord copies it
+	// into the device, so the next record may overwrite it.
+	buf []byte
 }
 
 type span struct {
@@ -72,6 +105,9 @@ type span struct {
 }
 
 func (c *chain) payload() int { return c.bsize - blockHeader }
+
+// maxValue is the largest value a one-entry record in this chain can carry.
+func (c *chain) maxValue() int { return c.payload() - recHeader - entHeader - recFooter }
 
 // newChain allocates the first block of a fresh chain.
 func newChain(core *pmem.Core, heap *pmalloc.Heap, ts *txn.Timestamp, bsize int) (*chain, error) {
@@ -127,21 +163,123 @@ func (c *chain) salt(loc recLoc) uint64 {
 	return c.incarn[loc.block] ^ (uint64(loc.off) * 0x9e3779b97f4a7c15)
 }
 
+// logEntry is one entry of a record: a datum's address and its new value.
+// encodeRecord sets valOff, the value's offset inside the encoded record,
+// which the volatile index keeps.
+type logEntry struct {
+	addr   pmem.Addr
+	val    []byte
+	valOff int
+}
+
+// compactable reports whether ents fit the compact form.
+func compactable(ents []logEntry) bool {
+	return len(ents) == 1 && len(ents[0].val) == 8 && ents[0].addr < compactLimit
+}
+
+// recordLen is the encoded length of a record holding ents.
+func recordLen(ents []logEntry) int {
+	if compactable(ents) {
+		return compactLen
+	}
+	n := recHeader + recFooter
+	for _, en := range ents {
+		n += entHeader + len(en.val)
+	}
+	return n
+}
+
+// slotBytes is the payload a record of n bytes occupies: up to the next slot.
+func slotBytes(n int) int { return (n + recSlot - 1) / recSlot * recSlot }
+
+// lenOf returns the length of the record whose first word is w, or 0 when w
+// starts no record: a pad marker, a word no encoder writes, or a sized word
+// below the smallest sized record.
+func lenOf(w uint32) int {
+	switch {
+	case w>>30 == compactFlag>>30:
+		return compactLen
+	case w&compactFlag != 0 || w < recHeader+recFooter:
+		return 0
+	}
+	return int(w)
+}
+
+// encodeRecord lays out ents as one record stamped ts, reusing buf when it
+// is large enough, and sets each entry's valOff. The checksum word is left
+// for appendRecord, which knows the record's location.
+func encodeRecord(buf []byte, ts uint64, ents []logEntry) []byte {
+	n := recordLen(ents)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	rec := buf[:n]
+	putU64(rec, 8, ts)
+	if compactable(ents) {
+		a := uint64(ents[0].addr)
+		putU32(rec, 0, compactFlag|uint32(a>>32))
+		putU32(rec, 4, uint32(a))
+		copy(rec[compactVal:], ents[0].val)
+		ents[0].valOff = compactVal
+		return rec
+	}
+	putU32(rec, 0, uint32(n))
+	putU32(rec, 4, uint32(len(ents)))
+	p := recHeader
+	for i := range ents {
+		en := &ents[i]
+		putU64(rec, p, uint64(en.addr))
+		putU32(rec, p+8, uint32(len(en.val)))
+		copy(rec[p+entHeader:], en.val)
+		en.valOff = p + entHeader
+		p += entHeader + len(en.val)
+	}
+	return rec
+}
+
+// appendEntries encodes ents as one record stamped ts and appends it at the
+// tail (see appendRecord). It returns the record's location and the payload
+// bytes it occupies.
+func (c *chain) appendEntries(ts uint64, ents []logEntry) (recLoc, int, error) {
+	c.buf = encodeRecord(c.buf, ts, ents)
+	loc, err := c.appendRecord(c.buf)
+	return loc, slotBytes(len(c.buf)), err
+}
+
+// nextRun returns the end of the longest run of ents from start that one
+// record can hold: it stops where the record would outgrow the block
+// payload, or at an entry i > start for which brk(i) asks for a new record
+// (brk may be nil). It returns start when ents[start] alone does not fit a
+// block.
+func (c *chain) nextRun(ents []logEntry, start int, brk func(i int) bool) int {
+	if recordLen(ents[start:start+1]) > c.payload() {
+		return start
+	}
+	// Two or more entries always take the sized form, so the length grows
+	// by one entry header plus value per member.
+	size := recHeader + recFooter + entHeader + len(ents[start].val)
+	end := start + 1
+	for end < len(ents) && (brk == nil || !brk(end)) {
+		if size += entHeader + len(ents[end].val); size > c.payload() {
+			break
+		}
+		end++
+	}
+	return end
+}
+
 // appendRecord writes rec (a fully encoded record whose final 8 bytes will
-// be overwritten with the salted checksum) at the tail and returns its
-// location. The bytes are volatile until flushPending + fence.
+// be overwritten with the salted checksum) at the next slot of the tail and
+// returns its location. The bytes are volatile until flushPending + fence.
 func (c *chain) appendRecord(rec []byte) (recLoc, error) {
 	if len(rec) > c.payload() {
 		return recLoc{}, errRecordTooLarge
 	}
+	if len(rec) < 4 || lenOf(getU32(rec, 0)) != len(rec) {
+		return recLoc{}, errMalformedRecord
+	}
 	if c.used+len(rec) > c.payload() {
-		if c.payload()-c.used >= 4 {
-			var pad [4]byte
-			binary.LittleEndian.PutUint32(pad[:], padMarker)
-			at := c.blocks[len(c.blocks)-1] + pmem.Addr(blockHeader+c.used)
-			c.core.Store(at, pad[:])
-			c.track(span{at, 4})
-		}
+		c.sealTail()
 		if _, err := c.appendBlock(); err != nil {
 			return recLoc{}, err
 		}
@@ -152,16 +290,18 @@ func (c *chain) appendRecord(rec []byte) (recLoc, error) {
 	at := loc.block + pmem.Addr(blockHeader+loc.off)
 	c.core.Store(at, rec)
 	c.track(span{at, len(rec)})
-	c.used += len(rec)
+	c.used += slotBytes(len(rec))
 	return loc, nil
 }
 
-// sealTail closes the current tail block with a pad marker so that a scan
-// continues into the next chain block instead of stopping at dead space.
-// Used when a chain is spliced ahead of other blocks (compaction): unlike an
-// active tail, a spliced block's free space must not read as "end of log".
+// sealTail closes the current tail block with a pad marker at its next slot,
+// so that a scan continues into the next chain block instead of stopping
+// there. appendRecord seals a block before linking the next one; compaction
+// seals a chain it splices ahead of other blocks, whose free space must not
+// read as "end of log". A slot too short for any record needs no marker:
+// the scan never reads it.
 func (c *chain) sealTail() {
-	if c.payload()-c.used >= 4 {
+	if c.payload()-c.used >= compactLen {
 		var pad [4]byte
 		binary.LittleEndian.PutUint32(pad[:], padMarker)
 		at := c.blocks[len(c.blocks)-1] + pmem.Addr(blockHeader+c.used)
@@ -184,13 +324,13 @@ func (c *chain) flushPending(kind pmem.Kind) {
 // (header through checksum) and whether the record is committed.
 func (c *chain) scanRecord(core *pmem.Core, loc recLoc) (rec []byte, committed bool) {
 	limit := c.payload() - loc.off
-	if limit < recHeader+recFooter {
+	if limit < compactLen {
 		return nil, false
 	}
-	var hdr [recHeader]byte
-	core.Load(loc.block+pmem.Addr(blockHeader+loc.off), hdr[:])
-	size := int(binary.LittleEndian.Uint32(hdr[:]))
-	if size == int(uint32(padMarker)) || size < recHeader+recFooter || size > limit {
+	var w [4]byte
+	core.Load(loc.block+pmem.Addr(blockHeader+loc.off), w[:])
+	size := lenOf(binary.LittleEndian.Uint32(w[:]))
+	if size == 0 || size > limit {
 		return nil, false
 	}
 	rec = make([]byte, size)
@@ -208,6 +348,14 @@ type scanEntry struct {
 	ValOff int
 }
 
+// recordForm names a record's form, for inspection output.
+func recordForm(rec []byte) string {
+	if len(rec) >= 4 && lenOf(getU32(rec, 0)) == compactLen {
+		return "compact"
+	}
+	return "sized"
+}
+
 // decodeEntries parses a committed record's entries. Returns nil if the
 // entry structure is malformed (cannot happen for checksum-valid records
 // written by this code, but recovery is defensive).
@@ -215,8 +363,15 @@ func decodeEntries(rec []byte) (ts uint64, ents []scanEntry) {
 	if len(rec) < recHeader+recFooter {
 		return 0, nil
 	}
-	n := int(binary.LittleEndian.Uint32(rec[4:]))
 	ts = binary.LittleEndian.Uint64(rec[8:])
+	if w := getU32(rec, 0); lenOf(w) == compactLen {
+		if len(rec) != compactLen {
+			return ts, nil
+		}
+		a := pmem.Addr(uint64(w&^compactFlag)<<32 | uint64(getU32(rec, 4)))
+		return ts, []scanEntry{{Addr: a, Val: rec[compactVal : compactVal+8], ValOff: compactVal}}
+	}
+	n := int(binary.LittleEndian.Uint32(rec[4:]))
 	p := recHeader
 	end := len(rec) - recFooter
 	for i := 0; i < n; i++ {
@@ -234,23 +389,34 @@ func decodeEntries(rec []byte) (ts uint64, ents []scanEntry) {
 	return ts, ents
 }
 
+// holdsEntry reports whether rec, a committed record, holds an entry for
+// addr whose value is the size bytes at valOff — the check an index entry
+// must pass, whichever the record's form.
+func holdsEntry(rec []byte, addr pmem.Addr, valOff, size int) bool {
+	_, ents := decodeEntries(rec)
+	for _, en := range ents {
+		if en.Addr == addr && en.ValOff == valOff && len(en.Val) == size {
+			return true
+		}
+	}
+	return false
+}
+
+// recordTS returns a record's commit timestamp.
+func recordTS(rec []byte) uint64 { return getU64(rec, 8) }
+
 // scanAll walks the chain from its head and calls fn for each committed
 // record in chain order, stopping at the first uncommitted/torn record
 // (§4.1: "the recovery stops once a corrupted log record is encountered
-// because there should not be fresh records afterward"). It returns the
-// location one past the final committed record, which is where appending may
-// resume.
+// because there should not be fresh records afterward"). It reads records
+// only at slots, so gap bytes are never interpreted. It returns the
+// location one past the final committed record — its next slot — which is
+// where appending may resume.
 func (c *chain) scanAll(core *pmem.Core, fn func(loc recLoc, rec []byte) bool) (tailBlock int, tailOff int) {
 	for bi, b := range c.blocks {
 		off := 0
-		for {
-			limit := c.payload() - off
-			if limit < recHeader+recFooter {
-				break // block exhausted; continue with next
-			}
-			var szb [4]byte
-			core.Load(b+pmem.Addr(blockHeader+off), szb[:])
-			if binary.LittleEndian.Uint32(szb[:]) == padMarker {
+		for c.payload()-off >= compactLen {
+			if core.LoadUint32(b+pmem.Addr(blockHeader+off)) == padMarker {
 				break // explicit pad: rest of block is dead space
 			}
 			rec, committed := c.scanRecord(core, recLoc{b, off})
@@ -260,7 +426,7 @@ func (c *chain) scanAll(core *pmem.Core, fn func(loc recLoc, rec []byte) bool) (
 			if fn != nil && !fn(recLoc{b, off}, rec) {
 				return bi, off
 			}
-			off += len(rec)
+			off += slotBytes(len(rec))
 		}
 		if bi == len(c.blocks)-1 {
 			return bi, off

@@ -194,47 +194,27 @@ func (p *Pool) Recover() error {
 			// Pack the recovered cells into committed records, each stamped
 			// with the newest timestamp among its members (§4.2), and index
 			// them so reclamation sees the coverage entries as live.
-			for start := 0; start < len(order); {
-				size := recHeader + recFooter
-				end := start
-				for end < len(order) {
-					s := size + entHeader + len(final[order[end]].val)
-					if s > nc.payload() {
-						break
-					}
-					size = s
-					end++
-				}
+			cover := make([]logEntry, len(order))
+			for i, a := range order {
+				cover[i] = logEntry{addr: a, val: final[a].val}
+			}
+			for start := 0; start < len(cover); {
+				end := nc.nextRun(cover, start, nil)
 				if end == start {
 					return fmt.Errorf("spec: recovered entry larger than log block payload")
 				}
-				rec := make([]byte, size)
-				putU32(rec, 0, uint32(size))
-				putU32(rec, 4, uint32(end-start))
 				maxTS := uint64(0)
-				off := recHeader
-				for i := start; i < end; i++ {
-					f := final[order[i]]
-					if f.ts > maxTS {
-						maxTS = f.ts
-					}
-					putU64(rec, off, uint64(order[i]))
-					putU32(rec, off+8, uint32(len(f.val)))
-					copy(rec[off+entHeader:], f.val)
-					off += entHeader + len(f.val)
+				for _, en := range cover[start:end] {
+					maxTS = max(maxTS, final[en.addr].ts)
 				}
-				putU64(rec, 8, maxTS)
-				loc, err := nc.appendRecord(rec)
+				loc, n, err := nc.appendEntries(maxTS, cover[start:end])
 				if err != nil {
 					return fmt.Errorf("spec: pool recovery: %w", err)
 				}
-				off = recHeader
-				for i := start; i < end; i++ {
-					f := final[order[i]]
-					e.index[order[i]] = indexEnt{ts: f.ts, rec: loc, valOff: off + entHeader, size: len(f.val)}
-					off += entHeader + len(f.val)
+				for _, en := range cover[start:end] {
+					e.index[en.addr] = indexEnt{ts: final[en.addr].ts, rec: loc, valOff: en.valOff, size: len(en.val)}
 				}
-				e.liveBytes += int64(size)
+				e.liveBytes += int64(n)
 				start = end
 			}
 		}

@@ -95,26 +95,14 @@ func (e *Engine) Checkpoint(addr pmem.Addr, size int) error {
 	c := e.env.Core
 	// Snapshot in record-sized chunks, each a committed record of one
 	// entry. Chunks are bounded so any region fits the block payload.
-	maxChunk := e.ch.payload() - recHeader - recFooter - entHeader
-	if maxChunk > 4096 {
-		maxChunk = 4096
-	}
+	maxChunk := min(e.ch.maxValue(), 4096)
 	for off := 0; off < size; off += maxChunk {
-		n := size - off
-		if n > maxChunk {
-			n = maxChunk
-		}
 		at := addr + pmem.Addr(off)
-		recSize := recHeader + entHeader + n + recFooter
-		rec := make([]byte, recSize)
+		val := make([]byte, min(size-off, maxChunk))
+		c.Load(at, val)
+		ents := []logEntry{{addr: at, val: val}}
 		ts := e.env.TS.Next()
-		putU32(rec, 0, uint32(recSize))
-		putU32(rec, 4, 1)
-		putU64(rec, 8, ts)
-		putU64(rec, recHeader, uint64(at))
-		putU32(rec, recHeader+8, uint32(n))
-		c.Load(at, rec[recHeader+entHeader:recHeader+entHeader+n])
-		loc, err := e.ch.appendRecord(rec)
+		loc, n, err := e.ch.appendEntries(ts, ents)
 		if err != nil {
 			return fmt.Errorf("spec: checkpoint: %w", err)
 		}
@@ -123,11 +111,11 @@ func (e *Engine) Checkpoint(addr pmem.Addr, size int) error {
 		if prev, ok := e.index[at]; ok {
 			e.staleBytes += int64(entHeader + prev.size)
 		}
-		e.index[at] = indexEnt{ts: ts, rec: loc, valOff: recHeader + entHeader, size: n}
-		e.liveBytes += int64(recSize)
+		e.index[at] = indexEnt{ts: ts, rec: loc, valOff: ents[0].valOff, size: len(val)}
+		e.liveBytes += int64(n)
 		c.Stats.LogRecords++
-		c.Stats.AddLiveLog(int64(recSize))
-		c.TraceLogAppend(recSize)
+		c.Stats.AddLiveLog(int64(n))
+		c.TraceLogAppend(n)
 	}
 	return nil
 }

@@ -96,7 +96,7 @@ type Engine struct {
 	// log on recovery (rebuild-on-crash policy, §4.2).
 	index map[pmem.Addr]indexEnt
 
-	liveBytes  int64 // committed record bytes currently in the chain
+	liveBytes  int64 // payload bytes occupied by committed records in the chain
 	staleBytes int64 // estimated reclaimable bytes among them
 	open       bool
 	needsScan  bool // attached post-crash: Recover must run before Begin
@@ -118,11 +118,8 @@ type Engine struct {
 	// cur is the engine's single reusable transaction object (the engine
 	// enforces one open transaction per core, so one is all it needs):
 	// write-set, dedup map, old-value map, and value arena are reset and
-	// reused across Begin calls instead of reallocated. recBuf is the
-	// log-record staging buffer — appendRecord copies it into the device,
-	// so the next commit may overwrite it.
-	cur    tx
-	recBuf []byte
+	// reused across Begin calls instead of reallocated.
+	cur tx
 }
 
 type indexEnt struct {
@@ -221,7 +218,7 @@ func (e *Engine) Begin() txn.Tx {
 type tx struct {
 	e      *Engine
 	ws     *txn.WriteSet
-	ents   []pendingEnt
+	ents   []logEntry
 	byAddr map[pmem.Addr]int
 	// old holds pre-transaction values for fast aborts during normal
 	// execution (§5.3.2 discusses fast aborts; the slow path would be the
@@ -232,12 +229,6 @@ type tx struct {
 	// values), so the store path stops allocating once it reaches its
 	// high-water capacity.
 	arena txn.Arena
-}
-
-type pendingEnt struct {
-	addr   pmem.Addr
-	val    []byte
-	valOff int // value offset inside the encoded record, set by Commit
 }
 
 // reset readies the reusable tx for a new transaction, keeping the maps,
@@ -291,7 +282,7 @@ func (t *tx) Store(addr pmem.Addr, data []byte) {
 	t.byAddr[addr] = len(t.ents)
 	val := t.arena.Grab(len(data))
 	copy(val, data)
-	t.ents = append(t.ents, pendingEnt{addr: addr, val: val})
+	t.ents = append(t.ents, logEntry{addr: addr, val: val})
 }
 
 // Commit implements txn.Tx: encode one log record, flush it (plus data, for
@@ -333,29 +324,9 @@ func (t *tx) commit(fence bool) error {
 		c.TraceTxCommit(commitStart, 0, 0)
 		return nil
 	}
-	size := recHeader + recFooter
-	for _, en := range t.ents {
-		size += entHeader + len(en.val)
-	}
-	if cap(e.recBuf) < size {
-		e.recBuf = make([]byte, size)
-	}
-	rec := e.recBuf[:size]
 	ts := e.env.TS.Next()
-	putU32(rec, 0, uint32(size))
-	putU32(rec, 4, uint32(len(t.ents)))
-	putU64(rec, 8, ts)
-	p := recHeader
-	for i := range t.ents {
-		en := &t.ents[i]
-		putU64(rec, p, uint64(en.addr))
-		putU32(rec, p+8, uint32(len(en.val)))
-		copy(rec[p+entHeader:], en.val)
-		en.valOff = p + entHeader
-		p += entHeader + len(en.val)
-	}
 	e.bgmu.Lock()
-	loc, err := e.ch.appendRecord(rec)
+	loc, size, err := e.ch.appendEntries(ts, t.ents)
 	if err != nil {
 		e.bgmu.Unlock()
 		t.restoreOld()
@@ -454,7 +425,7 @@ func (e *Engine) Recover() error {
 			}
 			e.index[en.Addr] = indexEnt{ts: ts, rec: loc, valOff: en.ValOff, size: len(en.Val)}
 		}
-		e.liveBytes += int64(len(rec))
+		e.liveBytes += int64(slotBytes(len(rec)))
 		return true
 	})
 	for _, l := range touched.Lines() {
@@ -504,16 +475,16 @@ func (e *Engine) reclaimLocked() error {
 	reclaimStart := bg.Now()
 	keepFrom := len(ch.blocks) - 1 // the active tail block is never touched
 	// Gather fresh entries from the prefix, in chain (chronological) order.
-	type freshEnt struct {
-		addr pmem.Addr
-		val  []byte
-		ts   uint64 // source record timestamp (ordering only)
-		// src pins the entry's current location so the index hand-over
-		// after the splice is exact.
-		src       recLoc
-		srcValOff int
+	// srcs[i] pins fresh[i]'s current location (record and value offset),
+	// so the index hand-over after the splice is exact, and carries its
+	// source record's timestamp.
+	type source struct {
+		loc    recLoc
+		valOff int
+		ts     uint64
 	}
-	var fresh []freshEnt
+	var fresh []logEntry
+	var srcs []source
 	var prefixBytes int64
 	var staleEnts uint64
 	prefix := map[pmem.Addr]bool{}
@@ -524,12 +495,13 @@ func (e *Engine) reclaimLocked() error {
 		if !prefix[loc.block] {
 			return false // reached the kept tail: stop scanning
 		}
-		prefixBytes += int64(len(rec))
+		prefixBytes += int64(slotBytes(len(rec)))
 		ts, ents := decodeEntries(rec)
 		for _, en := range ents {
 			ie, ok := e.index[en.Addr]
 			if ok && ie.rec == loc && ie.valOff == en.ValOff {
-				fresh = append(fresh, freshEnt{en.Addr, append([]byte(nil), en.Val...), ts, loc, en.ValOff})
+				fresh = append(fresh, logEntry{addr: en.Addr, val: append([]byte(nil), en.Val...)})
+				srcs = append(srcs, source{loc, en.ValOff, ts})
 			} else {
 				staleEnts++
 			}
@@ -538,9 +510,8 @@ func (e *Engine) reclaimLocked() error {
 	})
 	// Build compact records on new blocks (written by the reclaimer core).
 	type movedEnt struct {
-		src       recLoc
-		srcValOff int
-		dst       indexEnt
+		src source
+		dst indexEnt
 	}
 	var compact *chain
 	moved := map[pmem.Addr]movedEnt{}
@@ -562,47 +533,25 @@ func (e *Engine) reclaimLocked() error {
 		// source record share its timestamp, and chains are
 		// timestamp-ordered, so grouping costs one record header per
 		// surviving source record.
+		newTS := func(i int) bool { return srcs[i].ts != srcs[i-1].ts }
 		for start := 0; start < len(fresh); {
-			size := recHeader + recFooter
-			end := start
-			for end < len(fresh) && fresh[end].ts == fresh[start].ts {
-				s := size + entHeader + len(fresh[end].val)
-				if s > compact.payload() {
-					break
-				}
-				size = s
-				end++
-			}
+			end := compact.nextRun(fresh, start, newTS)
 			if end == start {
 				return fmt.Errorf("spec: entry larger than log block payload")
 			}
-			rec := make([]byte, size)
-			putU32(rec, 0, uint32(size))
-			putU32(rec, 4, uint32(end-start))
-			p := recHeader
-			for i := start; i < end; i++ {
-				f := fresh[i]
-				putU64(rec, p, uint64(f.addr))
-				putU32(rec, p+8, uint32(len(f.val)))
-				copy(rec[p+entHeader:], f.val)
-				p += entHeader + len(f.val)
-			}
-			putU64(rec, 8, fresh[start].ts)
-			loc, err := compact.appendRecord(rec)
+			ts := srcs[start].ts
+			loc, n, err := compact.appendEntries(ts, fresh[start:end])
 			if err != nil {
 				return err
 			}
-			p = recHeader
 			for i := start; i < end; i++ {
 				f := fresh[i]
 				moved[f.addr] = movedEnt{
-					src:       f.src,
-					srcValOff: f.srcValOff,
-					dst:       indexEnt{ts: f.ts, rec: loc, valOff: p + entHeader, size: len(f.val)},
+					src: srcs[i],
+					dst: indexEnt{ts: ts, rec: loc, valOff: f.valOff, size: len(f.val)},
 				}
-				p += entHeader + len(f.val)
 			}
-			compactBytes += int64(size)
+			compactBytes += int64(n)
 			start = end
 		}
 		compact.sealTail()
@@ -625,7 +574,7 @@ func (e *Engine) reclaimLocked() error {
 	// group's max, so timestamps cannot identify entries across repeated
 	// compactions).
 	for a, m := range moved {
-		if cur, ok := e.index[a]; ok && cur.rec == m.src && cur.valOff == m.srcValOff {
+		if cur, ok := e.index[a]; ok && cur.rec == m.src.loc && cur.valOff == m.src.valOff {
 			e.index[a] = indexEnt{ts: cur.ts, rec: m.dst.rec, valOff: m.dst.valOff, size: m.dst.size}
 		}
 	}
