@@ -26,11 +26,14 @@
 //     failures injected mid-pull, post-freeze, at the cutover verify, and
 //     after a committed cutover (on both the new owner and the purging old
 //     owner), full checker pass after every power-fail point.
-//   - -check: the checker matrix — basic AND churn for the selected
-//     engine(s), plus a per-scenario checker summary line.
+//   - -check: the checker matrix — basic, churn AND reclaim (the basic
+//     torture on a 4 KiB-block SpecSPMT log that takes reclamation steps as
+//     it goes) for the selected engine(s), plus a per-scenario checker
+//     summary line.
 //
 // -summary writes the merged recovery-checker summary as JSON (the CI
-// artifact). -engine accepts the alias "spec" for SpecSPMT.
+// artifact), with reclaim_steps, the number of log reclamation steps the
+// runs took. -engine accepts the alias "spec" for SpecSPMT.
 //
 // A checker violation stops that run at the failing power-fail point; its
 // index is printed and the exit status is non-zero.
@@ -96,12 +99,14 @@ func main() {
 		matrix = []runner{
 			{name: "basic", perEng: true, run: crashtest.Run},
 			{name: "churn", perEng: true, run: crashtest.RunAllocChurn},
+			{name: "reclaim", perEng: true, run: crashtest.RunReclaim},
 		}
 	default:
 		matrix = []runner{{name: "basic", perEng: true, run: crashtest.Run}}
 	}
 
 	total := recovery.Summary{Scenario: "all"}
+	var reclaimSteps uint64
 	failed := 0
 	for mi := range matrix {
 		m := &matrix[mi]
@@ -114,6 +119,7 @@ func main() {
 			for seed := uint64(1); seed <= uint64(*seeds); seed++ {
 				rep, err := m.run(crashtest.Config{Engine: eng, Seed: seed, Rounds: *rounds, Profile: *profile})
 				m.summary.Merge(rep.Checks)
+				reclaimSteps += rep.ReclaimSteps
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "specpmt-crashtest: %s %s seed %d: %v\n", m.name, eng, seed, err)
 					failed++
@@ -202,7 +208,11 @@ func main() {
 	}
 
 	if *summaryPath != "" {
-		buf, err := json.MarshalIndent(total, "", "  ")
+		out := struct {
+			recovery.Summary
+			ReclaimSteps uint64 `json:"reclaim_steps"`
+		}{total, reclaimSteps}
+		buf, err := json.MarshalIndent(out, "", "  ")
 		if err == nil {
 			err = os.WriteFile(*summaryPath, append(buf, '\n'), 0o644)
 		}

@@ -86,6 +86,9 @@ type Report struct {
 	Violations []string
 	// Checks is the recovery-checker summary for the run.
 	Checks recovery.Summary
+	// ReclaimSteps counts the log reclamation steps the run's engine took,
+	// across all its crashes.
+	ReclaimSteps uint64
 }
 
 // Ok reports whether the run observed no consistency violations.
@@ -119,16 +122,29 @@ func registerPoolCheckers(reg *recovery.Registry, pool *specpmt.Pool) {
 	)
 }
 
-// Run executes one torture run.
-func Run(cfg Config) (Report, error) {
+// Run executes one torture run: the basic scenario.
+func Run(cfg Config) (Report, error) { return run(cfg, "basic", nil) }
+
+// RunReclaim executes the basic scenario on a log that reclaims as it goes,
+// so power failures land between and after reclamation steps: 4 KiB blocks
+// and a step due at 1 KiB of stale log, because the defaults (32 KiB and
+// 256 KiB) never reach a step in a run of a few hundred transactions.
+// Engines other than the SpecSPMT family ignore the options and run the
+// basic scenario.
+func RunReclaim(cfg Config) (Report, error) {
+	return run(cfg, "reclaim", &spec.Options{BlockSize: 4096, ReclaimThreshold: 1024})
+}
+
+func run(cfg Config, scenario string, opt *spec.Options) (rep Report, err error) {
 	cfg.setDefaults()
-	rep := Report{Engine: cfg.Engine, Seed: cfg.Seed, Rounds: cfg.Rounds, FailedAt: -1}
+	rep = Report{Engine: cfg.Engine, Seed: cfg.Seed, Rounds: cfg.Rounds, FailedAt: -1}
 	rng := sim.NewRand(cfg.Seed)
-	pool, err := specpmt.Open(specpmt.Config{Engine: cfg.Engine, Size: cfg.PoolSize, Profile: cfg.Profile})
+	pool, err := specpmt.Open(specpmt.Config{Engine: cfg.Engine, Size: cfg.PoolSize, Profile: cfg.Profile, SpecOptions: opt})
 	if err != nil {
 		return rep, err
 	}
 	defer pool.Close()
+	defer func() { rep.ReclaimSteps = pool.Counters().ReclaimCycles }()
 	addrs := make([]pmem.Addr, cfg.Addrs)
 	for i := range addrs {
 		addrs[i], err = pool.Alloc(64)
@@ -148,7 +164,7 @@ func Run(cfg Config) (Report, error) {
 	btc := recovery.BTree("pds.btree", func() (*btree.Tree, error) {
 		return btree.Open(pool, btreeSlot)
 	})
-	reg := recovery.NewRegistry("basic/" + cfg.Engine)
+	reg := recovery.NewRegistry(scenario + "/" + cfg.Engine)
 	reg.Register(cells, btc)
 	registerPoolCheckers(reg, pool)
 

@@ -25,6 +25,26 @@ func TestAllEnginesSurviveTorture(t *testing.T) {
 	}
 }
 
+// TestReclaimScenarioTakesSteps runs the reclaim scenario on SpecSPMT: it
+// must pass every checker and reach reclamation, or its power-fail points
+// would only repeat the basic scenario's.
+func TestReclaimScenarioTakesSteps(t *testing.T) {
+	var steps uint64
+	for seed := uint64(1); seed <= 4; seed++ {
+		rep, err := RunReclaim(Config{Engine: "SpecSPMT", Seed: seed, Rounds: 8})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !rep.Ok() {
+			t.Fatalf("seed %d: %s\n%v", seed, rep, rep.Violations)
+		}
+		steps += rep.ReclaimSteps
+	}
+	if steps == 0 {
+		t.Fatal("four reclaim-scenario runs took no reclamation step")
+	}
+}
+
 func TestTortureIsDeterministic(t *testing.T) {
 	a, err := Run(Config{Engine: "SpecSPMT", Seed: 9})
 	if err != nil {

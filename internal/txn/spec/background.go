@@ -9,17 +9,17 @@ import (
 // or implicitly when a transaction execution finds the memory space overhead
 // reaching a tunable threshold."
 //
-// The default engine runs reclamation cycles synchronously at the trigger
-// point (cost still charged to the dedicated background core, so modeled
-// timing is identical); BackgroundReclaim moves the cycle onto a real
-// goroutine, overlapping reclamation with the application exactly as the
-// paper's software design does — at the price of the drawbacks the paper
-// itself lists for it (a dedicated core and trigger tuning, §5).
+// The default engine runs one bounded reclamation step (Engine.stepLocked)
+// synchronously in each commit that finds the stale estimate over the
+// threshold (cost still charged to the dedicated background core, so
+// modeled timing is identical); BackgroundReclaim moves the steps onto a
+// real goroutine, overlapping reclamation with the application exactly as
+// the paper's software design does — at the price of the drawbacks the
+// paper itself lists for it (a dedicated core and trigger tuning, §5).
 //
-// Synchronisation: the reclaimer snapshots and rewrites chain and index
-// state under e.bgmu; the transaction path takes the same lock only for the
-// brief index/chain updates at commit, never while waiting on simulated
-// persistence.
+// Synchronisation: the reclaimer reads and rewrites chain and index state
+// under e.bgmu one step at a time — at most maxRun blocks scanned and one
+// written — so a commit waits on it for at most one step.
 
 // reclaimDaemon is the dedicated reclamation goroutine.
 type reclaimDaemon struct {
@@ -46,26 +46,36 @@ func (d *reclaimDaemon) loop() {
 	for {
 		select {
 		case <-d.quit:
-			// Drain a coalesced trigger before exiting so stop() never
-			// drops requested work: on a single-CPU machine the daemon
-			// may only be scheduled for the first time at shutdown.
-			select {
-			case <-d.wake:
-				d.runCycle()
-			default:
+			// Drain pending triggers, including those runStep raises
+			// itself, before exiting so stop() never drops requested
+			// work: on a single-CPU machine the daemon may only be
+			// scheduled for the first time at shutdown.
+			for {
+				select {
+				case <-d.wake:
+					d.runStep()
+				default:
+					return
+				}
 			}
-			return
 		case <-d.wake:
-			d.runCycle()
+			d.runStep()
 		}
 	}
 }
 
-// runCycle executes one reclamation cycle, recording the first failure.
-func (d *reclaimDaemon) runCycle() {
+// runStep executes one reclamation step, recording the first failure. A
+// step that leaves the stale estimate over the threshold wakes the daemon
+// again, so it keeps stepping, one lock hold per step, until the estimate
+// is under the threshold or no run frees a block.
+func (d *reclaimDaemon) runStep() {
 	d.e.bgmu.Lock()
-	err := d.e.reclaimLocked()
+	freed, err := d.e.stepLocked()
+	again := freed && d.e.reclaimDue()
 	d.e.bgmu.Unlock()
+	if again {
+		d.signal()
+	}
 	if err != nil {
 		d.failMu.Lock()
 		if d.failed == nil {
@@ -75,7 +85,7 @@ func (d *reclaimDaemon) runCycle() {
 	}
 }
 
-// signal requests a cycle; coalesces if one is already pending.
+// signal requests a step; coalesces if one is already pending.
 func (d *reclaimDaemon) signal() {
 	select {
 	case d.wake <- struct{}{}:

@@ -127,11 +127,14 @@ type hashTx struct {
 	arena  txn.Arena
 }
 
-// reset readies the reusable tx, keeping maps, slices, and arena capacity.
+// reset readies the reusable tx, keeping maps, slices, and arena capacity;
+// like tx.reset it deletes only the last transaction's keys.
 func (t *hashTx) reset() {
+	for _, en := range t.ents {
+		delete(t.byAddr, en.addr)
+		delete(t.old, en.addr)
+	}
 	t.ents = t.ents[:0]
-	clear(t.byAddr)
-	clear(t.old)
 	t.done = false
 	t.err = nil
 	t.arena.Reset()
@@ -268,10 +271,15 @@ func (t *hashTx) Abort() error {
 	return nil
 }
 
+// restoreOld puts back every updated datum's pre-transaction value. It
+// walks the entries, not the map (whose iteration costs its high-water
+// capacity), newest first, so that where updates overlap the earliest
+// snapshot is written last.
 func (t *hashTx) restoreOld() {
 	c := t.e.env.Core
-	for addr, val := range t.old {
-		c.Store(addr, val)
+	for i := len(t.ents) - 1; i >= 0; i-- {
+		a := t.ents[i].addr
+		c.Store(a, t.old[a])
 	}
 }
 

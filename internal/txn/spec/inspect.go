@@ -88,13 +88,13 @@ func (e *Engine) VerifyRecovered(allocated func(addr pmem.Addr, n int) bool) err
 }
 
 // verifyLocked checks the per-engine structure — chain well-formedness,
-// allocator liveness of every block, and each index entry pointing at a
-// committed record with matching timestamp and in-bounds value — and
-// returns the committed records by location. It does NOT compare values
-// against memory: in a multi-thread pool another engine may hold a newer
-// committed value for the same address, so memory agreement is checked by
-// the caller at whichever scope owns the newest timestamp. Caller holds
-// bgmu.
+// allocator liveness of every block, each index entry pointing at a
+// committed record with matching timestamp and in-bounds value, and the
+// reclamation accounting setIndex keeps — and returns the committed records
+// by location. It does NOT compare values against memory: in a multi-thread
+// pool another engine may hold a newer committed value for the same
+// address, so memory agreement is checked by the caller at whichever scope
+// owns the newest timestamp. Caller holds bgmu.
 func (e *Engine) verifyLocked(allocated func(addr pmem.Addr, n int) bool) (map[recLoc][]byte, error) {
 	if e.open {
 		return nil, fmt.Errorf("spec: VerifyRecovered with a transaction open")
@@ -141,7 +141,48 @@ func (e *Engine) verifyLocked(allocated func(addr pmem.Addr, n int) bool) (map[r
 			return nil, fmt.Errorf("spec: index entry for addr %d stamped ts %d, newer than its record's ts %d", addr, ie.ts, ts)
 		}
 	}
-	return committed, nil
+	return committed, e.verifyAccounting()
+}
+
+// verifyAccounting checks the per-block reclamation accounting: the stale
+// shares sum to the stale estimate, only chain blocks are accounted, and
+// each block's fresh bound covers the slot bytes its fresh entries take
+// when copied a source record at a time — what a step relies on to fit a
+// run's survivors in one block. Caller holds bgmu.
+func (e *Engine) verifyAccounting() error {
+	inChain := make(map[pmem.Addr]bool, len(e.ch.blocks))
+	for _, b := range e.ch.blocks {
+		inChain[b] = true
+	}
+	var stale int64
+	for b, n := range e.blockStale {
+		if !inChain[b] {
+			return fmt.Errorf("spec: %dB of stale log accounted to block @%d, which is not in the chain", n, b)
+		}
+		stale += n
+	}
+	if stale != e.staleBytes {
+		return fmt.Errorf("spec: per-block stale shares sum to %dB, stale estimate is %dB", stale, e.staleBytes)
+	}
+	freshOf := map[recLoc][]logEntry{}
+	for addr, ie := range e.index {
+		freshOf[ie.rec] = append(freshOf[ie.rec], logEntry{addr: addr, val: make([]byte, ie.size)})
+	}
+	need := map[pmem.Addr]int64{}
+	for loc, ents := range freshOf {
+		need[loc.block] += int64(slotBytes(recordLen(ents)))
+	}
+	for b, n := range e.blockFresh {
+		if !inChain[b] {
+			return fmt.Errorf("spec: %dB of fresh log accounted to block @%d, which is not in the chain", n, b)
+		}
+	}
+	for b, n := range need {
+		if e.blockFresh[b] < n {
+			return fmt.Errorf("spec: block @%d fresh bound %dB, but its fresh entries take %dB when copied", b, e.blockFresh[b], n)
+		}
+	}
+	return nil
 }
 
 // IndexSize reports how many addresses the volatile record index covers.

@@ -12,8 +12,8 @@ import (
 // The speculative log area is a chain of fixed-size log blocks (§4.1,
 // Figure 6): each thread-private area is a sequence of blocks connected by
 // forward block pointers, holding log records in chronological order. New
-// records are only appended; reclamation splices compacted blocks in at the
-// chain head and frees the stale prefix.
+// records are only appended; a reclamation step splices one compacted block
+// in place of a short run of blocks and frees the run.
 //
 // Block layout:
 //
@@ -192,6 +192,17 @@ func recordLen(ents []logEntry) int {
 // slotBytes is the payload a record of n bytes occupies: up to the next slot.
 func slotBytes(n int) int { return (n + recSlot - 1) / recSlot * recSlot }
 
+// freshCost bounds the payload an entry of size bytes at addr takes when a
+// reclamation step copies it: a compact record alone, and otherwise the
+// slots of a one-entry sized record. Packed with other entries it takes no
+// more, so a run's summed costs bound the payload its copy needs.
+func freshCost(addr pmem.Addr, size int) int64 {
+	if size == 8 && addr < compactLimit {
+		return compactLen
+	}
+	return int64(slotBytes(recHeader + entHeader + size + recFooter))
+}
+
 // lenOf returns the length of the record whose first word is w, or 0 when w
 // starts no record: a pad marker, a word no encoder writes, or a sized word
 // below the smallest sized record.
@@ -296,10 +307,10 @@ func (c *chain) appendRecord(rec []byte) (recLoc, error) {
 
 // sealTail closes the current tail block with a pad marker at its next slot,
 // so that a scan continues into the next chain block instead of stopping
-// there. appendRecord seals a block before linking the next one; compaction
-// seals a chain it splices ahead of other blocks, whose free space must not
-// read as "end of log". A slot too short for any record needs no marker:
-// the scan never reads it.
+// there. appendRecord seals a block before linking the next one; a
+// reclamation step seals the block it splices ahead of other blocks, whose
+// free space must not read as "end of log". A slot too short for any record
+// needs no marker: the scan never reads it.
 func (c *chain) sealTail() {
 	if c.payload()-c.used >= compactLen {
 		var pad [4]byte
@@ -414,25 +425,29 @@ func recordTS(rec []byte) uint64 { return getU64(rec, 8) }
 // where appending may resume.
 func (c *chain) scanAll(core *pmem.Core, fn func(loc recLoc, rec []byte) bool) (tailBlock int, tailOff int) {
 	for bi, b := range c.blocks {
-		off := 0
-		for c.payload()-off >= compactLen {
-			if core.LoadUint32(b+pmem.Addr(blockHeader+off)) == padMarker {
-				break // explicit pad: rest of block is dead space
-			}
-			rec, committed := c.scanRecord(core, recLoc{b, off})
-			if !committed {
-				return bi, off
-			}
-			if fn != nil && !fn(recLoc{b, off}, rec) {
-				return bi, off
-			}
-			off += slotBytes(len(rec))
-		}
-		if bi == len(c.blocks)-1 {
+		off, stopped := c.scanBlock(core, b, fn)
+		if stopped || bi == len(c.blocks)-1 {
 			return bi, off
 		}
 	}
 	return 0, 0
+}
+
+// scanBlock calls fn for each committed record of block b in order, until a
+// pad marker or the end of the payload. It returns the offset it reached,
+// and stopped = true when an uncommitted record or fn ended the scan there.
+func (c *chain) scanBlock(core *pmem.Core, b pmem.Addr, fn func(loc recLoc, rec []byte) bool) (off int, stopped bool) {
+	for c.payload()-off >= compactLen {
+		if core.LoadUint32(b+pmem.Addr(blockHeader+off)) == padMarker {
+			break // explicit pad: rest of block is dead space
+		}
+		rec, committed := c.scanRecord(core, recLoc{b, off})
+		if !committed || fn != nil && !fn(recLoc{b, off}, rec) {
+			return off, true
+		}
+		off += slotBytes(len(rec))
+	}
+	return off, false
 }
 
 // resumeAt positions the append cursor. Blocks after tailBlock are discarded
@@ -452,49 +467,13 @@ func (c *chain) resumeAt(tailBlock, tailOff int) {
 	c.track(span{tb, 8})
 }
 
-// replacePrefix splices compacted blocks in place of the chain prefix
-// [0, keepFrom). newBlocks must already hold their records; this routine
-// links them ahead of blocks[keepFrom], persists the links (fence one), and
-// returns the new head for the caller to persist in its root (fence two) —
-// matching the two-fence reclamation cycle of §4.2.
-//
-// The displaced prefix blocks are returned, NOT freed: until the new head
-// pointer is durable, a crash recovers through the old head, so the old
-// blocks must stay intact. The caller frees them after its head-pointer
-// persist barrier.
-func (c *chain) replacePrefix(core *pmem.Core, newBlocks []pmem.Addr, newIncarn map[pmem.Addr]uint64, newUsed int, keepFrom int) (newHead pmem.Addr, displaced []pmem.Addr) {
-	keep := c.blocks[keepFrom:]
-	if len(newBlocks) > 0 {
-		last := newBlocks[len(newBlocks)-1]
-		if len(keep) > 0 {
-			core.StoreUint64(last, uint64(keep[0]))
-		} else {
-			core.StoreUint64(last, 0)
-		}
-		core.Flush(last, 8, pmem.KindGC)
-	}
-	core.Fence() // fence one: new blocks and their links are durable
-	displaced = append(displaced, c.blocks[:keepFrom]...)
-	for _, b := range displaced {
-		delete(c.incarn, b)
-	}
-	for b, inc := range newIncarn {
-		c.incarn[b] = inc
-	}
-	c.blocks = append(append([]pmem.Addr{}, newBlocks...), keep...)
-	if len(keep) == 0 {
-		c.used = newUsed
-	}
-	return c.blocks[0], displaced
-}
-
 // Little-endian scratch helpers shared across the package.
 func putU64(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
 func putU32(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:], v) }
 func getU64(b []byte, off int) uint64    { return binary.LittleEndian.Uint64(b[off:]) }
 func getU32(b []byte, off int) uint32    { return binary.LittleEndian.Uint32(b[off:]) }
 
-// freeBlocks returns displaced blocks to the heap once they are unreachable.
+// freeBlocks returns blocks to the heap once they are unreachable.
 func (c *chain) freeBlocks(blocks []pmem.Addr) {
 	for _, b := range blocks {
 		c.heap.Free(b, c.bsize)

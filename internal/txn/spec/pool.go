@@ -188,8 +188,7 @@ func (p *Pool) Recover() error {
 		if err != nil {
 			return fmt.Errorf("spec: pool recovery: %w", err)
 		}
-		e.index = map[pmem.Addr]indexEnt{}
-		e.liveBytes, e.staleBytes = 0, 0
+		e.resetIndex()
 		if ei == 0 {
 			// Pack the recovered cells into committed records, each stamped
 			// with the newest timestamp among its members (§4.2), and index
@@ -212,7 +211,7 @@ func (p *Pool) Recover() error {
 					return fmt.Errorf("spec: pool recovery: %w", err)
 				}
 				for _, en := range cover[start:end] {
-					e.index[en.addr] = indexEnt{ts: final[en.addr].ts, rec: loc, valOff: en.valOff, size: len(en.val)}
+					e.setIndex(en.addr, indexEnt{ts: final[en.addr].ts, rec: loc, valOff: en.valOff, size: len(en.val)})
 				}
 				e.liveBytes += int64(n)
 				start = end

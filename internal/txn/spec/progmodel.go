@@ -64,8 +64,7 @@ func (e *Engine) Seal() error {
 	c.Stats.AddLiveLog(-e.liveBytes)
 	c.TraceLiveLog()
 	e.ch = nil
-	e.index = nil
-	e.liveBytes, e.staleBytes = 0, 0
+	e.resetIndex()
 	e.needsScan = true // engine is dead; Begin would panic via needsScan
 	return nil
 }
@@ -108,10 +107,7 @@ func (e *Engine) Checkpoint(addr pmem.Addr, size int) error {
 		}
 		e.ch.flushPending(pmem.KindLog)
 		c.Fence()
-		if prev, ok := e.index[at]; ok {
-			e.staleBytes += int64(entHeader + prev.size)
-		}
-		e.index[at] = indexEnt{ts: ts, rec: loc, valOff: ents[0].valOff, size: len(val)}
+		e.setIndex(at, indexEnt{ts: ts, rec: loc, valOff: ents[0].valOff, size: len(val)})
 		e.liveBytes += int64(n)
 		c.Stats.LogRecords++
 		c.Stats.AddLiveLog(int64(n))

@@ -15,7 +15,8 @@
 // The engine maintains the paper's software structure (Figure 5): per-thread
 // chained log blocks in persistent memory, a volatile hash index giving the
 // freshest committed record of every address, and a reclaimer that compacts
-// stale records on a dedicated core with exactly two fences per cycle.
+// stale records on a dedicated core, a few blocks per step, with exactly two
+// fences per step.
 //
 // Two registered variants:
 //
@@ -28,6 +29,7 @@ package spec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -61,9 +63,9 @@ type Options struct {
 	ReclaimThreshold int64
 	// DisableReclaim turns implicit reclamation off (ReclaimNow still works).
 	DisableReclaim bool
-	// BackgroundReclaim runs reclamation cycles on a dedicated goroutine —
+	// BackgroundReclaim runs reclamation steps on a dedicated goroutine —
 	// the paper's software design (§4.2) — instead of synchronously at the
-	// trigger point. Timing is identical (the cycle is charged to the
+	// trigger point. Timing is identical (a step is charged to the
 	// dedicated background core either way); the goroutine overlaps the
 	// Go-level work with the application.
 	BackgroundReclaim bool
@@ -98,8 +100,16 @@ type Engine struct {
 
 	liveBytes  int64 // payload bytes occupied by committed records in the chain
 	staleBytes int64 // estimated reclaimable bytes among them
-	open       bool
-	needsScan  bool // attached post-crash: Recover must run before Begin
+	// Per-block accounting, kept by setIndex alone: blockStale[b] is b's
+	// share of staleBytes, and blockFresh[b] bounds the slot bytes b's fresh
+	// entries take when a reclamation step copies them (freshCost).
+	blockStale map[pmem.Addr]int64
+	blockFresh map[pmem.Addr]int64
+	// retryAt is set when a step found no run that frees a block: commits
+	// search again only once staleBytes passes it.
+	retryAt   int64
+	open      bool
+	needsScan bool // attached post-crash: Recover must run before Begin
 
 	// unfenced is true while at least one CommitNoFence record sits in the
 	// write pending queue without an ordering fence behind it. Reclamation
@@ -141,7 +151,8 @@ func init() {
 // New attaches to (or initialises) a SpecPMT engine at env.Root.
 func New(env txn.Env, opt Options) (*Engine, error) {
 	opt.setDefaults()
-	e := &Engine{env: env, opt: opt, bg: env.Dev.NewCore(), index: map[pmem.Addr]indexEnt{}}
+	e := &Engine{env: env, opt: opt, bg: env.Dev.NewCore()}
+	e.resetIndex()
 	e.bg.SetTrackName("reclaimer")
 	c := env.Core
 	if c.LoadUint64(env.Root+offMagic) == magic {
@@ -232,12 +243,16 @@ type tx struct {
 }
 
 // reset readies the reusable tx for a new transaction, keeping the maps,
-// slices, and arena capacity warm.
+// slices, and arena capacity warm. Every key of byAddr and old is the
+// address of some entry, so deleting those keys empties both maps at the
+// cost of the last transaction, not of the maps' high-water capacity.
 func (t *tx) reset() {
 	t.ws.Reset()
+	for _, en := range t.ents {
+		delete(t.byAddr, en.addr)
+		delete(t.old, en.addr)
+	}
 	t.ents = t.ents[:0]
-	clear(t.byAddr)
-	clear(t.old)
 	t.done = false
 	t.arena.Reset()
 }
@@ -359,10 +374,7 @@ func (t *tx) commit(fence bool) error {
 	// becomes reclaimable.
 	for i := range t.ents {
 		en := &t.ents[i]
-		if prev, ok := e.index[en.addr]; ok {
-			e.staleBytes += int64(entHeader + prev.size)
-		}
-		e.index[en.addr] = indexEnt{ts: ts, rec: loc, valOff: en.valOff, size: len(en.val)}
+		e.setIndex(en.addr, indexEnt{ts: ts, rec: loc, valOff: en.valOff, size: len(en.val)})
 	}
 	e.liveBytes += int64(size)
 	c.Stats.TxCommitted++
@@ -370,12 +382,12 @@ func (t *tx) commit(fence bool) error {
 	c.Stats.AddLiveLog(int64(size))
 	c.TraceLogAppend(size)
 	c.TraceTxCommit(commitStart, len(t.ents), size)
-	trigger := !e.opt.DisableReclaim && e.staleBytes > e.opt.ReclaimThreshold
+	trigger := e.reclaimDue()
 	e.bgmu.Unlock()
 	if trigger {
 		if e.daemon != nil {
 			e.daemon.signal()
-		} else if err := e.ReclaimNow(); err != nil {
+		} else if _, err := e.reclaimStep(); err != nil {
 			return fmt.Errorf("spec: commit succeeded but reclamation failed: %w", err)
 		}
 	}
@@ -396,10 +408,15 @@ func (t *tx) Abort() error {
 	return nil
 }
 
+// restoreOld puts back every updated datum's pre-transaction value. It
+// walks the entries, not the map (whose iteration costs its high-water
+// capacity), newest first, so that where updates overlap the earliest
+// snapshot is written last.
 func (t *tx) restoreOld() {
 	c := t.e.env.Core
-	for addr, val := range t.old {
-		c.Store(addr, val)
+	for i := len(t.ents) - 1; i >= 0; i-- {
+		a := t.ents[i].addr
+		c.Store(a, t.old[a])
 	}
 }
 
@@ -412,18 +429,14 @@ func (e *Engine) Recover() error {
 	defer e.bgmu.Unlock()
 	c := e.env.Core
 	recoverStart := c.Now()
-	e.index = map[pmem.Addr]indexEnt{}
-	e.liveBytes, e.staleBytes = 0, 0
+	e.resetIndex()
 	touched := txn.NewWriteSet()
 	tb, to := e.ch.scanAll(c, func(loc recLoc, rec []byte) bool {
 		ts, ents := decodeEntries(rec)
 		for _, en := range ents {
 			c.Store(en.Addr, en.Val)
 			touched.Add(en.Addr, len(en.Val))
-			if prev, ok := e.index[en.Addr]; ok {
-				e.staleBytes += int64(entHeader + prev.size)
-			}
-			e.index[en.Addr] = indexEnt{ts: ts, rec: loc, valOff: en.ValOff, size: len(en.Val)}
+			e.setIndex(en.Addr, indexEnt{ts: ts, rec: loc, valOff: en.ValOff, size: len(en.Val)})
 		}
 		e.liveBytes += int64(slotBytes(len(rec)))
 		return true
@@ -440,12 +453,20 @@ func (e *Engine) Recover() error {
 	return nil
 }
 
-// ReclaimNow runs one reclamation cycle on the background core (§4.2): scan
-// every full block, copy fresh entries into compact records in new blocks,
-// splice the new blocks into the chain with two fences, and free the stale
-// prefix. Freshness comes from the volatile index; a log entry is fresh iff
-// the index still points at it.
+// ReclaimNow reclaims explicitly (§4.2: "triggered explicitly through an
+// API"): it runs reclamation steps until one frees no block.
 func (e *Engine) ReclaimNow() error {
+	for {
+		freed, err := e.reclaimStep()
+		if err != nil || !freed {
+			return err
+		}
+	}
+}
+
+// reclaimStep runs one reclamation step and reports whether it freed a
+// block.
+func (e *Engine) reclaimStep() (bool, error) {
 	// Retire any deferred commit fences first: reclamation must only ever
 	// copy records that can no longer be torn by a crash (see Engine.
 	// unfenced). CommitNoFence falls back to a fenced commit whenever a
@@ -457,7 +478,7 @@ func (e *Engine) ReclaimNow() error {
 	}
 	e.bgmu.Lock()
 	defer e.bgmu.Unlock()
-	return e.reclaimLocked()
+	return e.stepLocked()
 }
 
 // NoteFence records that the caller issued an ordering fence on the
@@ -465,129 +486,209 @@ func (e *Engine) ReclaimNow() error {
 // deferred CommitNoFence record. Must run on the application thread.
 func (e *Engine) NoteFence() { e.unfenced = false }
 
-// reclaimLocked performs the cycle; callers hold e.bgmu.
-func (e *Engine) reclaimLocked() error {
-	ch := e.ch
-	if len(ch.blocks) <= 1 {
-		return nil // only the active tail block: nothing reclaimable
+// reclaimDue reports whether the stale estimate calls for a step (§4.2:
+// "implicitly when a transaction execution finds the memory space overhead
+// reaching a tunable threshold"). Caller holds bgmu.
+func (e *Engine) reclaimDue() bool {
+	return !e.opt.DisableReclaim && e.staleBytes > max(e.opt.ReclaimThreshold, e.retryAt)
+}
+
+// resetIndex empties the index and its accounting.
+func (e *Engine) resetIndex() {
+	e.index = map[pmem.Addr]indexEnt{}
+	e.blockStale = map[pmem.Addr]int64{}
+	e.blockFresh = map[pmem.Addr]int64{}
+	e.liveBytes, e.staleBytes, e.retryAt = 0, 0, 0
+}
+
+// setIndex makes ie the freshest committed entry of addr. It is the index's
+// one writer, so it keeps the per-block accounting: the entry it displaces
+// turns stale in its block, and ie's block gains ie's copy cost.
+func (e *Engine) setIndex(addr pmem.Addr, ie indexEnt) {
+	if prev, ok := e.index[addr]; ok {
+		stale := int64(entHeader + prev.size)
+		e.staleBytes += stale
+		e.blockStale[prev.rec.block] += stale
+		e.blockFresh[prev.rec.block] -= freshCost(addr, prev.size)
 	}
-	bg := e.bg
-	reclaimStart := bg.Now()
-	keepFrom := len(ch.blocks) - 1 // the active tail block is never touched
-	// Gather fresh entries from the prefix, in chain (chronological) order.
-	// srcs[i] pins fresh[i]'s current location (record and value offset),
-	// so the index hand-over after the splice is exact, and carries its
-	// source record's timestamp.
-	type source struct {
-		loc    recLoc
-		valOff int
-		ts     uint64
+	e.index[addr] = ie
+	e.blockFresh[ie.rec.block] += freshCost(addr, ie.size)
+}
+
+// maxRun is the most blocks one reclamation step scans.
+const maxRun = 4
+
+// stepPhase names a crash-relevant point inside a reclamation step.
+type stepPhase int
+
+const (
+	phaseCopied stepPhase = iota // survivors copied and flushed, before fence one
+	phaseFenced                  // between fence one and the link store
+	phaseLinked                  // after fence two, before the run is freed
+)
+
+// stepHook runs at each stepPhase of every step; tests crash there.
+var stepHook = func(stepPhase) {}
+
+// pickRun chooses a step's victim among the runs [i, j) of at most maxRun
+// consecutive non-tail blocks whose fresh entries fit one block: the run
+// that frees the most blocks — its length, less one if any entry survives —
+// and, of those, the one with the fewest fresh bytes. ok is false when no
+// run frees a block. Caller holds bgmu.
+func (e *Engine) pickRun() (i, j int, ok bool) {
+	blocks := e.ch.blocks
+	payload := int64(e.ch.payload())
+	bestFreed, bestFresh := 0, int64(0)
+	for a := 0; a < len(blocks)-1; a++ {
+		fresh := int64(0)
+		for b := a; b < min(a+maxRun, len(blocks)-1); b++ {
+			if fresh += e.blockFresh[blocks[b]]; fresh > payload {
+				break
+			}
+			freed := b + 1 - a
+			if fresh > 0 {
+				freed--
+			}
+			if freed > bestFreed || freed == bestFreed && fresh < bestFresh {
+				i, j, bestFreed, bestFresh = a, b+1, freed, fresh
+			}
+		}
 	}
+	return i, j, bestFreed > 0
+}
+
+// stepLocked is one reclamation step (§4.2) on the reclaimer core; callers
+// hold e.bgmu. It scans the run pickRun chooses, copies the run's fresh
+// entries — a log entry is fresh iff the index still points at it — into
+// one new block, and splices that block in place of the run with two
+// fences:
+//
+//  1. the new block, linked to the block after the run, is flushed and
+//     fenced (fence one); nothing durable points at it yet;
+//  2. the predecessor's next pointer — the root's head pointer for a run
+//     at the chain head — is switched to it and persisted (fence two).
+//
+// The run's blocks are freed only then: until fence two retires, a crash
+// recovers through the old run, which must stay intact. Chain order, and so
+// chronological order, is preserved, so recovery is the same with or
+// without the step. When no run frees a block, the step sets the retry
+// mark one block payload above the stale estimate and does nothing else.
+func (e *Engine) stepLocked() (bool, error) {
+	ch, bg := e.ch, e.bg
+	i, j, ok := e.pickRun()
+	if !ok {
+		e.retryAt = e.staleBytes + int64(ch.payload())
+		return false, nil
+	}
+	e.retryAt = 0
+	stepStart := bg.Now()
+	run := slices.Clone(ch.blocks[i:j])
+	// Gather the run's fresh entries in chain order, each with its source
+	// record's timestamp.
 	var fresh []logEntry
-	var srcs []source
-	var prefixBytes int64
+	var srcTS []uint64
+	var runBytes int64
 	var staleEnts uint64
-	prefix := map[pmem.Addr]bool{}
-	for _, b := range ch.blocks[:keepFrom] {
-		prefix[b] = true
-	}
-	ch.scanAll(bg, func(loc recLoc, rec []byte) bool {
-		if !prefix[loc.block] {
-			return false // reached the kept tail: stop scanning
-		}
-		prefixBytes += int64(slotBytes(len(rec)))
-		ts, ents := decodeEntries(rec)
-		for _, en := range ents {
-			ie, ok := e.index[en.Addr]
-			if ok && ie.rec == loc && ie.valOff == en.ValOff {
-				fresh = append(fresh, logEntry{addr: en.Addr, val: append([]byte(nil), en.Val...)})
-				srcs = append(srcs, source{loc, en.ValOff, ts})
-			} else {
-				staleEnts++
-			}
-		}
-		return true
-	})
-	// Build compact records on new blocks (written by the reclaimer core).
-	type movedEnt struct {
-		src source
-		dst indexEnt
-	}
-	var compact *chain
-	moved := map[pmem.Addr]movedEnt{}
-	var compactBytes int64
-	if len(fresh) > 0 {
-		var err error
-		compact, err = newChain(bg, e.env.LogHeap, e.env.TS, e.opt.BlockSize)
-		if err != nil {
-			return err
-		}
-		// Pack entries into records, respecting the block payload — and
-		// never across a timestamp boundary. §4.2 stamps the compact record
-		// with its newest member's timestamp, which is exact here because
-		// every member shares one timestamp: multi-thread recovery (§4.1)
-		// merges records ACROSS chains ordered by the record stamp, so
-		// letting an old entry ride in a record stamped with a newer
-		// member's timestamp would replay it over another thread's
-		// genuinely newer write to the same address. Entries from one
-		// source record share its timestamp, and chains are
-		// timestamp-ordered, so grouping costs one record header per
-		// surviving source record.
-		newTS := func(i int) bool { return srcs[i].ts != srcs[i-1].ts }
-		for start := 0; start < len(fresh); {
-			end := compact.nextRun(fresh, start, newTS)
-			if end == start {
-				return fmt.Errorf("spec: entry larger than log block payload")
-			}
-			ts := srcs[start].ts
-			loc, n, err := compact.appendEntries(ts, fresh[start:end])
-			if err != nil {
-				return err
-			}
-			for i := start; i < end; i++ {
-				f := fresh[i]
-				moved[f.addr] = movedEnt{
-					src: srcs[i],
-					dst: indexEnt{ts: ts, rec: loc, valOff: f.valOff, size: len(f.val)},
+	for _, b := range run {
+		ch.scanBlock(bg, b, func(loc recLoc, rec []byte) bool {
+			runBytes += int64(slotBytes(len(rec)))
+			ts, ents := decodeEntries(rec)
+			for _, en := range ents {
+				if ie, ok := e.index[en.Addr]; ok && ie.rec == loc && ie.valOff == en.ValOff {
+					fresh = append(fresh, logEntry{addr: en.Addr, val: en.Val})
+					srcTS = append(srcTS, ts)
+				} else {
+					staleEnts++
 				}
 			}
-			compactBytes += int64(n)
-			start = end
+			return true
+		})
+	}
+	next := ch.blocks[j]
+	newHead := next
+	var nb *chain
+	dst := make([]recLoc, len(fresh))
+	var copied int64
+	if len(fresh) > 0 {
+		var err error
+		if nb, err = newChain(bg, e.env.LogHeap, e.env.TS, e.opt.BlockSize); err != nil {
+			return false, err
 		}
-		compact.sealTail()
-		compact.flushPending(pmem.KindGC)
-	}
-	var newBlocks []pmem.Addr
-	var newIncarn map[pmem.Addr]uint64
-	newUsed := 0
-	if compact != nil {
-		newBlocks, newIncarn, newUsed = compact.blocks, compact.incarn, compact.used
-	}
-	newHead, displaced := ch.replacePrefix(bg, newBlocks, newIncarn, newUsed, keepFrom)
-	// Fence two: the new head pointer.
-	bg.StoreUint64(e.env.Root+offHead, uint64(newHead))
-	bg.PersistBarrier(e.env.Root+offHead, 8, pmem.KindGC)
-	ch.freeBlocks(displaced)
-	// Index entries for moved values now point at the compact records; the
-	// tail block's entries are untouched. The hand-over matches on the
-	// entry's source location (a compacted entry's record timestamp is its
-	// group's max, so timestamps cannot identify entries across repeated
-	// compactions).
-	for a, m := range moved {
-		if cur, ok := e.index[a]; ok && cur.rec == m.src.loc && cur.valOff == m.src.valOff {
-			e.index[a] = indexEnt{ts: cur.ts, rec: m.dst.rec, valOff: m.dst.valOff, size: m.dst.size}
+		// Pack entries into records, never across a timestamp boundary.
+		// §4.2 stamps a compact record with its newest member's timestamp,
+		// which is exact here because every member shares one timestamp:
+		// multi-thread recovery (§4.1) merges records ACROSS chains ordered
+		// by the record stamp, so letting an old entry ride in a record
+		// stamped with a newer member's timestamp would replay it over
+		// another thread's genuinely newer write to the same address.
+		// Entries of one source record share its timestamp, so grouping
+		// costs one record header per surviving source record.
+		newTS := func(k int) bool { return srcTS[k] != srcTS[k-1] }
+		for k := 0; k < len(fresh); {
+			end := nb.nextRun(fresh, k, newTS)
+			if end == k {
+				return false, fmt.Errorf("spec: entry larger than log block payload")
+			}
+			loc, n, err := nb.appendEntries(srcTS[k], fresh[k:end])
+			if err != nil {
+				return false, err
+			}
+			for m := k; m < end; m++ {
+				dst[m] = loc
+			}
+			copied += int64(n)
+			k = end
 		}
+		// blockFresh bounds what the run's survivors take, and pickRun kept
+		// that within one payload.
+		if len(nb.blocks) != 1 {
+			return false, fmt.Errorf("spec: reclamation step copied %dB of fresh entries past one block", copied)
+		}
+		newHead = nb.head()
+		nb.sealTail()
+		bg.StoreUint64(newHead, uint64(next))
+		nb.track(span{newHead, 8})
+		nb.flushPending(pmem.KindGC)
 	}
-	delta := prefixBytes - compactBytes
+	stepHook(phaseCopied)
+	bg.Fence() // fence one: the new block and its link are durable
+	stepHook(phaseFenced)
+	link := e.env.Root + offHead
+	if i > 0 {
+		link = ch.blocks[i-1]
+	}
+	bg.StoreUint64(link, uint64(newHead))
+	bg.PersistBarrier(link, 8, pmem.KindGC) // fence two
+	stepHook(phaseLinked)
+	// The run is unreachable: free it, and hand its fresh entries' index
+	// entries over to their copies (keeping each entry's own timestamp: a
+	// recovery coverage record may be stamped newer than its members).
+	ch.freeBlocks(run)
+	if nb != nil {
+		ch.blocks = slices.Replace(ch.blocks, i, j, newHead)
+		ch.incarn[newHead] = nb.incarn[newHead]
+	} else {
+		ch.blocks = slices.Delete(ch.blocks, i, j)
+	}
+	for k, f := range fresh {
+		cur := e.index[f.addr]
+		e.setIndex(f.addr, indexEnt{ts: cur.ts, rec: dst[k], valOff: f.valOff, size: len(f.val)})
+	}
+	for _, b := range run {
+		delete(ch.incarn, b)
+		e.staleBytes -= e.blockStale[b]
+		delete(e.blockStale, b)
+		delete(e.blockFresh, b)
+	}
+	delta := runBytes - copied
 	e.liveBytes -= delta
-	e.staleBytes = 0
 	st := e.env.Core.Stats
 	st.ReclaimCycles++
 	st.LogReclaimed += staleEnts
 	st.AddLiveLog(-delta)
-	bg.TraceReclaim(reclaimStart, staleEnts, delta)
+	bg.TraceReclaim(stepStart, staleEnts, delta)
 	e.env.Core.TraceLiveLog()
-	return nil
+	return true, nil
 }
 
 // LiveLogBytes reports the committed record bytes currently in the chain —

@@ -192,16 +192,18 @@ func (w *WriteSet) Bytes() int {
 	return n
 }
 
-// Reset empties the write set, retaining capacity.
+// Reset empties the write set, retaining capacity. It deletes exactly the
+// keys the last transaction added: clearing a map costs its high-water
+// capacity, so one large transaction would otherwise tax every later Reset.
 func (w *WriteSet) Reset() {
+	for _, r := range w.ranges {
+		delete(w.byAddr, r.Addr)
+	}
+	for _, l := range w.lineSl {
+		delete(w.lines, l)
+	}
 	w.ranges = w.ranges[:0]
 	w.lineSl = w.lineSl[:0]
-	for k := range w.lines {
-		delete(w.lines, k)
-	}
-	for k := range w.byAddr {
-		delete(w.byAddr, k)
-	}
 }
 
 // Factory constructs an engine over an Env.
