@@ -6,22 +6,18 @@ import (
 	"specpmt"
 	"specpmt/internal/pmem"
 	"specpmt/internal/recovery"
-	"specpmt/internal/sim"
 )
-
-// AllocChurnEngine is the Report.Engine tag of RunAllocChurn runs.
-const AllocChurnEngine = "pmalloc/churn"
 
 // churnSizes are the request sizes the churn scenario mixes — several size
 // classes plus a large (multi-span) class, so crashes land while spans of
 // different classes are being carved, retired, and reused.
 var churnSizes = []int{64, 192, 448, 1024, 2048, 4096, 16384}
 
-// RunAllocChurn tortures the logged allocator itself: random mixed-class
-// alloc/free churn with online compaction, a power failure every round, and
-// the full checker registry after every recovery. Each live block carries a
-// stamp committed transactionally at its base, so the scenario checks all
-// four contracts at once:
+// setupChurn builds the churn scenario, which tortures the logged allocator
+// itself: random mixed-class alloc/free churn with online compaction, a
+// power failure every round, and the full checker registry after every
+// recovery. Each live block carries a stamp committed transactionally at
+// its base, so the scenario checks all four contracts at once:
 //
 //   - the allocator's recovery diff (mirror vs recovered span table/bitmaps)
 //     is empty and the recovered metadata verifies structurally,
@@ -32,30 +28,25 @@ var churnSizes = []int{64, 192, 448, 1024, 2048, 4096, 16384}
 //     so a crash anywhere around a migration must never lose it,
 //   - the engine's log/index metadata verifies.
 //
-// Config is reused: TxPerRound is the churn-op budget per round, Rounds the
-// number of power-fail points.
-func RunAllocChurn(cfg Config) (Report, error) {
-	cfg.setDefaults()
-	rep := Report{Engine: AllocChurnEngine, Seed: cfg.Seed, Rounds: cfg.Rounds, FailedAt: -1}
-	rng := sim.NewRand(cfg.Seed)
+// TxPerRound is the churn-op budget per round.
+func setupChurn(t *torture) (func(int) error, error) {
+	cfg, rng := t.cfg, t.rng
 	pool, err := specpmt.Open(specpmt.Config{Engine: cfg.Engine, Size: cfg.PoolSize, Profile: cfg.Profile})
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
-	defer pool.Close()
+	t.onClose(func() { pool.Close() })
 
 	type block struct {
-		addr  pmem.Addr
-		n     int
-		stamp uint64
+		addr pmem.Addr
+		n    int
 	}
 	var live []block
 
 	cells := recovery.Cells("stamps", pool.ReadUint64)
-	reg := recovery.NewRegistry("churn/" + cfg.Engine)
-	reg.Register(cells)
-	registerPoolCheckers(reg, pool)
-	reg.Register(recovery.Func("alloc.live", nil, func() error {
+	t.reg.Register(cells)
+	t.registerPool("", pool)
+	t.reg.Register(recovery.Func("alloc.live", nil, func() error {
 		h := pool.DataHeap()
 		for _, b := range live {
 			if !h.Allocated(b.addr, b.n) {
@@ -72,7 +63,7 @@ func RunAllocChurn(cfg Config) (Report, error) {
 		if err := tx.Commit(); err != nil {
 			return fmt.Errorf("crashtest: stamp commit: %w", err)
 		}
-		rep.Committed++
+		t.rep.Committed++
 		cells.Commit(map[pmem.Addr]uint64{a: v})
 		return nil
 	}
@@ -86,7 +77,7 @@ func RunAllocChurn(cfg Config) (Report, error) {
 		if err := tx.Commit(); err != nil {
 			return false
 		}
-		rep.Committed++
+		t.rep.Committed++
 		for i := range live {
 			if live[i].addr == old {
 				live[i].addr = new
@@ -98,7 +89,7 @@ func RunAllocChurn(cfg Config) (Report, error) {
 		return true
 	}
 
-	for round := 0; round < cfg.Rounds; round++ {
+	return func(round int) error {
 		ops := rng.Intn(cfg.TxPerRound) + cfg.TxPerRound/2
 		for i := 0; i < ops; i++ {
 			switch {
@@ -116,34 +107,17 @@ func RunAllocChurn(cfg Config) (Report, error) {
 				n := churnSizes[rng.Intn(len(churnSizes))]
 				a, err := pool.Alloc(n)
 				if err != nil {
-					return rep, fmt.Errorf("crashtest: churn alloc %d bytes: %w", n, err)
+					return fmt.Errorf("crashtest: churn alloc %d bytes: %w", n, err)
 				}
-				v := rng.Uint64()
-				if err := stamp(a, v); err != nil {
-					return rep, err
+				if err := stamp(a, rng.Uint64()); err != nil {
+					return err
 				}
-				live = append(live, block{addr: a, n: n, stamp: v})
+				live = append(live, block{addr: a, n: n})
 			}
 		}
 		// one deliberate compaction pass per round so migrations are always
 		// in the mix right before the power failure
 		pool.DataHeap().Compact(mover)
-
-		reg.Snapshot()
-		if err := pool.Crash(rng.Uint64()); err != nil {
-			return rep, err
-		}
-		rep.Crashes++
-		if err := pool.Recover(); err != nil {
-			return rep, fmt.Errorf("crashtest: recovery after crash %d: %w", rep.Crashes, err)
-		}
-		if err := reg.Check(); err != nil {
-			rep.Violations = append(rep.Violations, fmt.Sprintf("round %d: %v", round, err))
-			rep.FailedAt = reg.Points() - 1
-			rep.Checks = reg.Summary()
-			return rep, nil
-		}
-	}
-	rep.Checks = reg.Summary()
-	return rep, nil
+		return t.powerFail(round, pool)
+	}, nil
 }

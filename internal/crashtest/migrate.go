@@ -4,156 +4,31 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"time"
 
 	"specpmt/internal/cluster"
 	"specpmt/internal/recovery"
 	"specpmt/internal/repl"
 	"specpmt/internal/server"
-	"specpmt/internal/sim"
 )
-
-// MigrateConfig parameterises a migration-cutover torture run: a two-node
-// cluster under routed client load, one shard migrating back and forth
-// between the nodes, and power failures injected at every phase of the
-// cutover protocol.
-type MigrateConfig struct {
-	// Engine is the crash-consistency scheme both nodes run on.
-	Engine string
-	// Seed makes the whole run reproducible.
-	Seed uint64
-	// Rounds is the number of migration rounds (default 4 — one full cycle
-	// of the injection points: mid-pull, post-freeze, at-cutover, and a
-	// committed cutover crashed on both sides).
-	Rounds int
-	// TxPerRound is the max routed client requests per round (default 80).
-	TxPerRound int
-	// Keys is the key-space size (default 64 — small, so DELs hit).
-	Keys uint64
-	// Shards is the shard count of both nodes (default 4).
-	Shards int
-	// PoolSize is each node's pool size in bytes (default 64 MiB).
-	PoolSize int
-	// Profile names the media profile (empty = default).
-	Profile string
-}
-
-func (c *MigrateConfig) setDefaults() {
-	if c.Engine == "" {
-		c.Engine = "SpecSPMT"
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 4
-	}
-	if c.TxPerRound == 0 {
-		c.TxPerRound = 80
-	}
-	if c.Keys == 0 {
-		c.Keys = 64
-	}
-	if c.Shards == 0 {
-		c.Shards = 4
-	}
-	if c.PoolSize == 0 {
-		c.PoolSize = 64 << 20
-		if c.Engine == "SpecHPMT" {
-			// Same sizing as the replay torture: the hardware engine's
-			// per-thread rings need the larger log area.
-			c.PoolSize = 256 << 20
-		}
-	}
-}
-
-// MigrateEngines returns the engines the migration-cutover torture runs
-// on: migration applies another node's committed records through the
-// server's cross-shard Apply path, so the constraint is exactly the
-// replica-replay one.
-func MigrateEngines() []string { return ReplayEngines() }
-
-// MigrateReport summarises a migration-cutover torture run.
-type MigrateReport struct {
-	Engine    string
-	Seed      uint64
-	Rounds    int
-	Committed int // routed client transactions committed
-	Crashes   int // node power failures injected
-	Cutovers  int // migrations that committed ownership
-	Aborted   int // migrations aborted by an injected failure
-	// FailedAt is the zero-based power-fail point index at which a
-	// recovery checker first failed, -1 when the run was clean.
-	FailedAt   int
-	Violations []string
-	// Checks is the recovery-checker summary for the run.
-	Checks recovery.Summary
-}
-
-// Ok reports whether the run observed no divergence.
-func (r MigrateReport) Ok() bool { return len(r.Violations) == 0 }
-
-// String renders a one-line summary.
-func (r MigrateReport) String() string {
-	status := "OK"
-	if !r.Ok() {
-		status = fmt.Sprintf("FAILED at power-fail point %d (%d violations)", r.FailedAt, len(r.Violations))
-	}
-	return fmt.Sprintf("migrate %-12s seed=%-4d rounds=%d committed=%d crashes=%d cutovers=%d aborted=%d: %s",
-		r.Engine, r.Seed, r.Rounds, r.Committed, r.Crashes, r.Cutovers, r.Aborted, status)
-}
 
 // migNode is one in-process cluster node: server + replication primary
 // (every node can be a migration source) + the cluster wrapper.
 type migNode struct {
-	srv  *server.Server
-	prim *repl.Primary
-	node *cluster.Node
+	*node
+	cn   *cluster.Node
 	addr cluster.Addr
 }
 
-func startMigNode(cfg MigrateConfig, log *slog.Logger) (*migNode, error) {
-	s, err := server.New(server.Config{
-		Engine: cfg.Engine, Profile: cfg.Profile, Shards: cfg.Shards, PoolSize: cfg.PoolSize,
-	})
+func (t *torture) startMigNode(log *slog.Logger) (*migNode, error) {
+	n, err := t.startNode(&repl.PrimaryOptions{})
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	go s.Serve(ln)
-	prim := repl.NewPrimary(s, repl.PrimaryOptions{})
-	if err := prim.Start("127.0.0.1:0"); err != nil {
-		s.Close()
-		return nil, err
-	}
-	n := &migNode{srv: s, prim: prim, addr: cluster.Addr{
-		Data: ln.Addr().String(), Repl: prim.Addr().String(),
-	}}
-	n.node = cluster.NewNode(s, prim, n.addr, cluster.NodeOptions{Log: log})
-	return n, nil
-}
-
-func (n *migNode) close() {
-	n.node.Close()
-	n.prim.Close()
-	n.srv.Close()
-}
-
-// shardKeys counts the committed pairs the node holds for shard, under a
-// full freeze.
-func (n *migNode) shardKeys(shard int) (int, error) {
-	cnt := 0
-	err := n.srv.Freeze(func() {
-		n.srv.RangeAll(func(sh int, _, _ uint64) bool {
-			if sh == shard {
-				cnt++
-			}
-			return true
-		})
-	})
-	return cnt, err
+	m := &migNode{node: n, addr: cluster.Addr{Data: n.ln.Addr().String(), Repl: n.prim.Addr().String()}}
+	m.cn = cluster.NewNode(n.srv, n.prim, m.addr, cluster.NodeOptions{Log: log})
+	t.onClose(m.cn.Close)
+	return m, nil
 }
 
 // The shard that migrates back and forth between the two nodes.
@@ -163,44 +38,41 @@ const migTortureShard = 1
 // cutover at the round's injection point.
 var errInjected = errors.New("crashtest: injected power failure")
 
-// MigrationCutover tortures the live shard-migration protocol: two cluster
-// nodes under routed client load (tracking a committed-state oracle), one
-// shard migrating between them, and a power failure injected every round —
-// either at a cutover phase (mid-pull, post-freeze, at-cutover), which
-// aborts the migration and crashes the destination over its half-pulled
-// shard copy, or right after a committed cutover, which crashes the new
-// owner and then the purging old owner. After every power-fail point the
-// full recovery checker registry runs: each node must serve exactly the
-// oracle projected onto the shards it owns, both nodes' allocator and
-// spec-log metadata must verify, and the two nodes must agree on the map.
-func MigrationCutover(cfg MigrateConfig) (MigrateReport, error) {
-	cfg.setDefaults()
-	rep := MigrateReport{Engine: cfg.Engine, Seed: cfg.Seed, Rounds: cfg.Rounds, FailedAt: -1}
-	rng := sim.NewRand(cfg.Seed)
+// setupMigrate builds the migrate scenario, which tortures the live
+// shard-migration protocol: two cluster nodes under routed client load
+// (tracking a committed-state oracle), one shard migrating between them,
+// and a power failure injected every round — either at a cutover phase
+// (mid-pull, post-freeze, at-cutover), which aborts the migration and
+// crashes the destination over its half-pulled shard copy, or right after a
+// committed cutover, which crashes the new owner and then the purging old
+// owner. Four rounds are one full cycle of the injection points. After
+// every power-fail point the full recovery checker registry runs: each node
+// must serve exactly the oracle projected onto the shards it owns, both
+// nodes' allocator and spec-log metadata must verify, and the two nodes
+// must agree on the map.
+func setupMigrate(t *torture) (func(int) error, error) {
 	quiet := slog.New(slog.DiscardHandler)
 
-	a, err := startMigNode(cfg, quiet)
+	a, err := t.startMigNode(quiet)
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
-	defer a.close()
-	b, err := startMigNode(cfg, quiet)
+	b, err := t.startMigNode(quiet)
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
-	defer b.close()
-	a.node.Bootstrap()
-	if err := b.node.Join(a.addr.Data); err != nil {
-		return rep, err
+	a.cn.Bootstrap()
+	if err := b.cn.Join(a.addr.Data); err != nil {
+		return nil, err
 	}
-	cur := a.node.Map()
+	cur := a.cn.Map()
 
 	view, err := cluster.NewView([]string{a.addr.Data, b.addr.Data})
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
 	router := cluster.NewRouter(view, "text")
-	defer router.Close()
+	t.onClose(router.Close)
 
 	// The committed-state oracle lives inside a recovery.KV checker whose
 	// Check splits the snapshot by current shard ownership: each node must
@@ -216,29 +88,21 @@ func MigrationCutover(cfg MigrateConfig) (MigrateReport, error) {
 		}
 		return nil
 	})
-	oracle := kv.Live()
-
-	reg := recovery.NewRegistry("migrate/" + cfg.Engine)
-	reg.Register(kv)
-	for _, nd := range []struct {
-		tag string
-		n   *migNode
-	}{{"a", a}, {"b", b}} {
-		pool := nd.n.srv.Pool()
-		reg.Register(
-			recovery.Heap(nd.tag+".pmalloc.data", pool.DataHeap()),
-			recovery.Heap(nd.tag+".pmalloc.log", pool.LogHeap()),
-			recovery.Func(nd.tag+".spec.log", nil, func() error {
-				if sp := pool.SpecPool(); sp != nil {
-					return sp.VerifyRecovered(pool.LogHeap().Allocated)
-				}
-				return nil
-			}),
-		)
+	traffic := &kvTraffic{
+		rng: t.rng, keys: uint64(t.cfg.Keys), oracle: kv.Live(),
+		exec: router.Exec, sameNode: router.SameNode,
+		send: func(op server.Op) error {
+			_, err := router.Do(op)
+			return err
+		},
 	}
-	reg.Register(recovery.Func("cluster.map", nil, func() error {
+
+	t.reg.Register(kv)
+	t.registerPool("a.", a.srv.Pool())
+	t.registerPool("b.", b.srv.Pool())
+	t.reg.Register(recovery.Func("cluster.map", nil, func() error {
 		for _, n := range []*migNode{a, b} {
-			m := n.node.Map()
+			m := n.cn.Map()
 			if m == nil || m.Epoch != cur.Epoch {
 				return fmt.Errorf("node %s at epoch %v, coordinator at %d", n.addr.Data, m, cur.Epoch)
 			}
@@ -252,39 +116,10 @@ func MigrationCutover(cfg MigrateConfig) (MigrateReport, error) {
 		return nil
 	}))
 
-	// crashCheck power-fails one node and verifies the whole cluster
-	// afterwards. The caller must have quiesced the node (no routed
-	// requests in flight, puller cancelled).
-	crashCheck := func(n *migNode, round int) (bool, error) {
-		if err := n.srv.Crash(rng.Uint64()); err != nil {
-			return false, fmt.Errorf("crashtest: round %d: crashing %s: %w", round, n.addr.Data, err)
-		}
-		rep.Crashes++
-		reg.Snapshot()
-		if err := reg.Check(); err != nil {
-			rep.Violations = append(rep.Violations, fmt.Sprintf("round %d: %v", round, err))
-			rep.FailedAt = reg.Points() - 1
-			rep.Checks = reg.Summary()
-			return false, nil
-		}
-		return true, nil
-	}
-
-	burst := func(round int) error {
-		nTx := rng.Intn(cfg.TxPerRound) + cfg.TxPerRound/2
-		for i := 0; i < nTx; i++ {
-			if err := randomRoutedTx(router, rng, cfg.Keys, oracle); err != nil {
-				return fmt.Errorf("crashtest: round %d tx %d: %w", round, i, err)
-			}
-			rep.Committed++
-		}
-		return nil
-	}
-
 	points := []string{"mid-pull", "post-freeze", "at-cutover", "commit"}
-	for round := 0; round < cfg.Rounds; round++ {
-		if err := burst(round); err != nil {
-			return rep, err
+	return func(round int) error {
+		if err := traffic.burst(t, round, nil); err != nil {
+			return err
 		}
 
 		// The migration direction follows ownership: the shard always
@@ -307,114 +142,49 @@ func MigrationCutover(cfg MigrateConfig) (MigrateReport, error) {
 		next, err := cluster.MigrateWith(migTortureShard, dst.addr.Data, src.addr.Data, quiet, hooks)
 		if point == "commit" {
 			if err != nil {
-				return rep, fmt.Errorf("crashtest: round %d: cutover failed: %w", round, err)
+				return fmt.Errorf("crashtest: round %d: cutover failed: %w", round, err)
 			}
 			cur = next
-			rep.Cutovers++
+			t.rep.Cutovers++
 		} else {
 			if !errors.Is(err, errInjected) {
-				return rep, fmt.Errorf("crashtest: round %d: expected injected abort at %s, got %v",
+				return fmt.Errorf("crashtest: round %d: expected injected abort at %s, got %v",
 					round, point, err)
 			}
-			rep.Aborted++
+			t.rep.Aborted++
 		}
 
 		// Power failure on the migration destination. MigrateWith has
 		// stopped the puller on both the abort and the cutover path, and
 		// the burst is drained, so the node is quiescent; on abort rounds
 		// the pool still holds the partial shard copy the pull left behind.
-		if ok, err := crashCheck(dst, round); !ok {
-			return rep, err
+		if err := t.powerFail(round, dst.srv); err != nil || point != "commit" {
+			return err
 		}
 
-		if point == "commit" {
-			// The old owner purges the migrated-away shard asynchronously;
-			// once the purge drains, power-fail it too — recovery over a
-			// freshly mass-deleted shard is its own state.
-			if err := waitPurged(src, migTortureShard, 15*time.Second); err != nil {
-				return rep, fmt.Errorf("crashtest: round %d: %w", round, err)
+		// The old owner purges the migrated-away shard asynchronously; once
+		// the purge drains (no committed pair of it left, counted under a
+		// full freeze), power-fail it too — recovery over a freshly
+		// mass-deleted shard is its own state.
+		err = poll(15*time.Second, 5*time.Millisecond, func() error {
+			cnt := 0
+			err := src.srv.Freeze(func() {
+				src.srv.RangeAll(func(sh int, _, _ uint64) bool {
+					if sh == migTortureShard {
+						cnt++
+					}
+					return true
+				})
+			})
+			if err == nil && cnt > 0 {
+				err = fmt.Errorf("crashtest: %s still holds %d keys of migrated shard %d",
+					src.addr.Data, cnt, migTortureShard)
 			}
-			if ok, err := crashCheck(src, round); !ok {
-				return rep, err
-			}
-		}
-	}
-	rep.Checks = reg.Summary()
-	return rep, nil
-}
-
-// waitPurged waits until the node holds no committed pairs for shard.
-func waitPurged(n *migNode, shard int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		cnt, err := n.shardKeys(shard)
+			return err
+		})
 		if err != nil {
-			return err
+			return fmt.Errorf("crashtest: round %d: %w", round, err)
 		}
-		if cnt == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("crashtest: %s still holds %d keys of migrated shard %d",
-				n.addr.Data, cnt, shard)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// randomRoutedTx issues one random request through the cluster router and
-// folds its committed effect into the oracle. Multi-key transactions
-// redraw until the keys land on one node; a draw invalidated by a map
-// refresh between the check and the send is dropped, not an error — the
-// transaction never executed.
-func randomRoutedTx(r *cluster.Router, rng *sim.Rand, keys uint64, oracle map[uint64]uint64) error {
-	switch rng.Intn(10) {
-	case 0, 1: // DEL
-		k := rng.Uint64() % keys
-		if _, err := r.Do(server.Op{Kind: server.OpDel, Key: k}); err != nil {
-			return err
-		}
-		delete(oracle, k)
-	case 2, 3: // same-node MULTI of SETs (and sometimes a DEL)
-		n := rng.Intn(4) + 2
-		ks := make([]uint64, n)
-		for {
-			for i := range ks {
-				ks[i] = rng.Uint64() % keys
-			}
-			if r.SameNode(ks) {
-				break
-			}
-		}
-		ops := make([]server.Op, n)
-		for i, k := range ks {
-			if rng.Intn(4) == 0 {
-				ops[i] = server.Op{Kind: server.OpDel, Key: k}
-			} else {
-				ops[i] = server.Op{Kind: server.OpSet, Key: k, Arg1: rng.Uint64()}
-			}
-		}
-		results, _, err := r.Exec(ops)
-		if errors.Is(err, cluster.ErrCrossNode) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for i, op := range ops {
-			switch {
-			case op.Kind == server.OpSet && results[i].Status == server.StatusOK:
-				oracle[op.Key] = op.Arg1
-			case op.Kind == server.OpDel && results[i].Status == server.StatusOK:
-				delete(oracle, op.Key)
-			}
-		}
-	default: // SET
-		k, v := rng.Uint64()%keys, rng.Uint64()
-		if _, err := r.Do(server.Op{Kind: server.OpSet, Key: k, Arg1: v}); err != nil {
-			return err
-		}
-		oracle[k] = v
-	}
-	return nil
+		return t.powerFail(round, src.srv)
+	}, nil
 }

@@ -6,7 +6,7 @@ import "testing"
 // post-freeze, at-cutover, and a committed cutover crashed on both the new
 // owner and the purging old owner — on the default engine.
 func TestMigrationCutover(t *testing.T) {
-	rep, err := MigrationCutover(MigrateConfig{Seed: 1, Rounds: 4, TxPerRound: 60})
+	rep, err := Run(scenario(t, "migrate"), Config{Seed: 1, Rounds: 4, TxPerRound: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestMigrationCutoverPMDK(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rep, err := MigrationCutover(MigrateConfig{Engine: "PMDK", Seed: 2, Rounds: 4, TxPerRound: 40})
+	rep, err := Run(scenario(t, "migrate"), Config{Engine: "PMDK", Seed: 2, Rounds: 4, TxPerRound: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,17 +6,14 @@ import (
 	"specpmt"
 	"specpmt/internal/pmem"
 	"specpmt/internal/recovery"
-	"specpmt/internal/sim"
 )
 
-// SpecPipelineEngine is the Report.Engine tag of RunSpecPipeline runs.
-const SpecPipelineEngine = "SpecSPMT/pipeline"
-
-// RunSpecPipeline tortures the engine's deferred-commit pattern (DESIGN.md
-// §4d): runs of transactions committed speculatively with CommitNoFence,
-// retired in windows by a single coalescing Thread.Fence, with a power
-// failure injected at a random point — possibly with a window of unretired
-// speculative commits outstanding, possibly mid-transaction.
+// setupPipeline builds the pipeline scenario, which tortures the engine's
+// deferred-commit pattern (DESIGN.md §4d): runs of transactions committed
+// speculatively with CommitNoFence, retired in windows by a single
+// coalescing Thread.Fence, with a power failure injected at a random point —
+// possibly with a window of unretired speculative commits outstanding,
+// possibly mid-transaction.
 //
 // The data oracle is the acknowledgment rule a CommitNoFence caller must
 // keep (a commit is acknowledged only after its window's fence retires),
@@ -31,36 +28,24 @@ const SpecPipelineEngine = "SpecSPMT/pipeline"
 //     acknowledged) must have survived.
 //
 // Commits past the fence floor are allowed to vanish: they were
-// speculative, and nobody was told they happened. Alongside the prefix
-// oracle every power-fail point also runs the allocator and spec-log
-// structural checkers, and the run stops at the first violation.
-func RunSpecPipeline(cfg Config) (Report, error) {
-	cfg.setDefaults()
-	rep := Report{Engine: SpecPipelineEngine, Seed: cfg.Seed, Rounds: cfg.Rounds, FailedAt: -1}
-	rng := sim.NewRand(cfg.Seed)
-	p, err := specpmt.OpenThreaded(specpmt.Config{Engine: "SpecSPMT", Size: cfg.PoolSize, Profile: cfg.Profile}, 1)
+// speculative, and nobody was told they happened.
+func setupPipeline(t *torture) (func(int) error, error) {
+	cfg, rng := t.cfg, t.rng
+	p, err := specpmt.OpenThreaded(specpmt.Config{Engine: cfg.Engine, Size: cfg.PoolSize, Profile: cfg.Profile}, 1)
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
-	defer p.Close()
-	addrs := make([]pmem.Addr, cfg.Addrs)
+	t.onClose(func() { p.Close() })
+	addrs := make([]pmem.Addr, cfg.Keys)
 	for i := range addrs {
-		addrs[i], err = p.Alloc(64)
-		if err != nil {
-			return rep, err
+		if addrs[i], err = p.Alloc(64); err != nil {
+			return nil, err
 		}
 	}
 
 	pre := recovery.Prefix("cells.prefix", addrs, p.ReadUint64)
-	reg := recovery.NewRegistry("pipeline/SpecSPMT")
-	reg.Register(
-		pre,
-		recovery.Heap("pmalloc.data", p.DataHeap()),
-		recovery.Heap("pmalloc.log", p.LogHeap()),
-		recovery.Func("spec.log", nil, func() error {
-			return p.SpecPool().VerifyRecovered(p.LogHeap().Allocated)
-		}),
-	)
+	t.reg.Register(pre)
+	t.registerPool("", p)
 
 	state := map[pmem.Addr]uint64{} // oracle state after the last applied commit
 
@@ -77,10 +62,10 @@ func RunSpecPipeline(cfg Config) (Report, error) {
 		state[a] = ^uint64(a)
 	}
 	if err := init.Commit(); err != nil {
-		return rep, fmt.Errorf("crashtest: init commit: %w", err)
+		return nil, fmt.Errorf("crashtest: init commit: %w", err)
 	}
 
-	for round := 0; round < cfg.Rounds; round++ {
+	return func(round int) error {
 		th := p.Thread(0)
 		// The prefix checker records the state after each speculative commit
 		// this round; the crash must recover to exactly one of them, at or
@@ -90,10 +75,9 @@ func RunSpecPipeline(cfg Config) (Report, error) {
 		nTx := rng.Intn(cfg.TxPerRound) + 1
 		midTx := rng.Float64() < 0.5
 		for i := 1; i <= nTx; i++ {
-			tx := th.Begin()
-			dtx, ok := tx.(specpmt.DeferredCommitTx)
+			dtx, ok := th.Begin().(specpmt.DeferredCommitTx)
 			if !ok {
-				return rep, fmt.Errorf("crashtest: %s does not support CommitNoFence", cfg.Engine)
+				return fmt.Errorf("crashtest: %s does not support CommitNoFence", cfg.Engine)
 			}
 			writes := map[pmem.Addr]uint64{}
 			for j := 0; j < rng.Intn(cfg.WritesPerTx)+1; j++ {
@@ -103,13 +87,13 @@ func RunSpecPipeline(cfg Config) (Report, error) {
 				writes[a] = v
 			}
 			if i == nTx && midTx {
-				rep.MidTx++
+				t.rep.MidTx++
 				break // leave the last transaction open across the crash
 			}
 			if err := dtx.CommitNoFence(); err != nil {
-				return rep, fmt.Errorf("crashtest: speculative commit: %w", err)
+				return fmt.Errorf("crashtest: speculative commit: %w", err)
 			}
-			rep.Committed++
+			t.rep.Committed++
 			for a, v := range writes {
 				state[a] = v
 			}
@@ -119,23 +103,11 @@ func RunSpecPipeline(cfg Config) (Report, error) {
 				pre.Fence()
 			}
 		}
-		reg.Snapshot()
-		if err := p.Crash(rng.Uint64()); err != nil {
-			return rep, err
-		}
-		rep.Crashes++
-		if err := p.Recover(); err != nil {
-			return rep, fmt.Errorf("crashtest: recovery after crash %d: %w", rep.Crashes, err)
-		}
-		if err := reg.Check(); err != nil {
-			rep.Violations = append(rep.Violations, fmt.Sprintf("round %d: %v", round, err))
-			rep.FailedAt = reg.Points() - 1
-			rep.Checks = reg.Summary()
-			return rep, nil
+		if err := t.powerFail(round, p); err != nil {
+			return err
 		}
 		// Continue the run from the surviving prefix, like a restarted server.
 		state = pre.Cut()
-	}
-	rep.Checks = reg.Summary()
-	return rep, nil
+		return nil
+	}, nil
 }

@@ -364,3 +364,59 @@ func BenchmarkBeginAfterLargeTx(b *testing.B) {
 		tx.Abort()
 	}
 }
+
+func TestConformanceBackgroundReclaim(t *testing.T) {
+	// The full battery with thresholds so low that a reclamation step on
+	// the background (reclaimer) core follows nearly every commit.
+	txntest.Run(t, func(env txn.Env) (txn.Engine, error) {
+		return New(env, Options{BlockSize: 1024, ReclaimThreshold: 512})
+	})
+}
+
+// TestBackgroundReclaimBoundsLog pins §4.2's background reclamation in the
+// cost model: steps keep one hot word's log near the threshold, and their
+// fences land on the reclaimer core, never on the application core, which
+// keeps exactly one fence per commit.
+func TestBackgroundReclaimBoundsLog(t *testing.T) {
+	w := txntest.NewWorld(128 << 20)
+	env := w.Env(false)
+	e, err := New(env, Options{BlockSize: 4096, ReclaimThreshold: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := w.DataHeap.Alloc(64)
+	fences := env.Core.Stats.Fences
+	const commits = 5000
+	for i := uint64(0); i < commits; i++ {
+		tx := e.Begin()
+		tx.StoreUint64(a, i)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := env.Core.Stats.ReclaimCycles
+	if steps == 0 {
+		t.Fatal("reclamation never ran")
+	}
+	if got := env.Core.Stats.Fences - fences; got != commits {
+		t.Fatalf("application core issued %d fences over %d commits", got, commits)
+	}
+	if got := e.bg.Stats.Fences; got != 2*steps {
+		t.Fatalf("reclaimer core issued %d fences over %d steps, want 2 per step", got, steps)
+	}
+	// One hot word: the chain must have been kept near the threshold, far
+	// below the ~240KB of unreclaimed records.
+	if live := e.liveBytes; live > 64<<10 {
+		t.Fatalf("live log %dB despite reclamation", live)
+	}
+	e.Close()
+	w.Dev.Crash(sim.NewRand(3))
+	e2, _ := New(w.SameEnv(env), Options{})
+	if err := e2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if got := w.Dev.NewCore().LoadUint64(a); got != commits-1 {
+		t.Fatalf("a=%d want %d", got, commits-1)
+	}
+}

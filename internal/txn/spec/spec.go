@@ -63,12 +63,6 @@ type Options struct {
 	ReclaimThreshold int64
 	// DisableReclaim turns implicit reclamation off (ReclaimNow still works).
 	DisableReclaim bool
-	// BackgroundReclaim runs reclamation steps on a dedicated goroutine —
-	// the paper's software design (§4.2) — instead of synchronously at the
-	// trigger point. Timing is identical (a step is charged to the
-	// dedicated background core either way); the goroutine overlaps the
-	// Go-level work with the application.
-	BackgroundReclaim bool
 	// DedicatedCommitFlag is an ablation knob: instead of relying on the
 	// record checksum as the commit marker (§4.1's design, which saves "a
 	// dedicated flag and a fence recording the commit status"), commit also
@@ -120,10 +114,9 @@ type Engine struct {
 	unfenced bool
 
 	// bgmu serialises chain/index access between the transaction path and
-	// the background reclaimer; uncontended (and effectively free) when
-	// BackgroundReclaim is off.
-	bgmu   sync.Mutex
-	daemon *reclaimDaemon
+	// the readers that walk it from other goroutines: inspection,
+	// verification, and the threaded Pool's merged recovery.
+	bgmu sync.Mutex
 
 	// cur is the engine's single reusable transaction object (the engine
 	// enforces one open transaction per core, so one is all it needs):
@@ -161,9 +154,6 @@ func New(env txn.Env, opt Options) (*Engine, error) {
 		e.opt.BlockSize = bs
 		e.ch = openChain(c, env.LogHeap, env.TS, bs, head)
 		e.needsScan = true
-		if opt.BackgroundReclaim && !opt.DisableReclaim {
-			e.daemon = newReclaimDaemon(e)
-		}
 		return e, nil
 	}
 	ch, err := newChain(c, env.LogHeap, env.TS, opt.BlockSize)
@@ -179,9 +169,6 @@ func New(env txn.Env, opt Options) (*Engine, error) {
 	c.StoreUint64(env.Root+offBlockSize, uint64(opt.BlockSize))
 	c.StoreUint64(env.Root+offMagic, magic)
 	c.PersistBarrier(env.Root, txn.RootSize, pmem.KindLog)
-	if opt.BackgroundReclaim && !opt.DisableReclaim {
-		e.daemon = newReclaimDaemon(e)
-	}
 	return e, nil
 }
 
@@ -193,16 +180,9 @@ func (e *Engine) Name() string {
 	return "SpecSPMT"
 }
 
-// Close implements txn.Engine, stopping the background reclaimer if one is
-// running and surfacing any failure it hit.
-func (e *Engine) Close() error {
-	if e.daemon != nil {
-		err := e.daemon.stop()
-		e.daemon = nil
-		return err
-	}
-	return nil
-}
+// Close implements txn.Engine. The engine holds no resources beyond the
+// device.
+func (e *Engine) Close() error { return nil }
 
 // Begin implements txn.Engine.
 func (e *Engine) Begin() txn.Tx {
@@ -315,11 +295,10 @@ func (t *tx) Commit() error { return t.commit(true) }
 // state, mirroring the paper's speculative-persistence model at record
 // granularity.
 //
-// Engines running a background reclaimer (or the dedicated-commit-flag
-// ablation, whose flag barrier is itself a fence) gain nothing from
-// deferral and fall back to a full Commit.
+// The dedicated-commit-flag ablation, whose flag barrier is itself a
+// fence, gains nothing from deferral and falls back to a full Commit.
 func (t *tx) CommitNoFence() error {
-	if t.e.daemon != nil || t.e.opt.DedicatedCommitFlag {
+	if t.e.opt.DedicatedCommitFlag {
 		return t.commit(true)
 	}
 	return t.commit(false)
@@ -385,9 +364,7 @@ func (t *tx) commit(fence bool) error {
 	trigger := e.reclaimDue()
 	e.bgmu.Unlock()
 	if trigger {
-		if e.daemon != nil {
-			e.daemon.signal()
-		} else if _, err := e.reclaimStep(); err != nil {
+		if _, err := e.reclaimStep(); err != nil {
 			return fmt.Errorf("spec: commit succeeded but reclamation failed: %w", err)
 		}
 	}
@@ -469,9 +446,8 @@ func (e *Engine) ReclaimNow() error {
 func (e *Engine) reclaimStep() (bool, error) {
 	// Retire any deferred commit fences first: reclamation must only ever
 	// copy records that can no longer be torn by a crash (see Engine.
-	// unfenced). CommitNoFence falls back to a fenced commit whenever a
-	// background daemon exists, so this path is only taken on the engine's
-	// own application thread and the fence is core-safe.
+	// unfenced). Steps run on the engine's own application thread, so the
+	// fence is core-safe.
 	if e.unfenced {
 		e.env.Core.Fence()
 		e.unfenced = false
