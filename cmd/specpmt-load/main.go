@@ -37,7 +37,7 @@
 //
 // Every GET also lands in one of the op_types entries get_snapshot /
 // get_queued / get_replica, splitting read latency by serving path (MVCC
-// snapshot fast path vs shard worker queue vs replica).
+// snapshot fast path vs shard queue vs replica).
 //
 // With -scrape, the generator polls a server's admin /metrics endpoint (see
 // specpmt-server -admin) every -scrape-every and embeds the time series in

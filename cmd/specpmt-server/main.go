@@ -72,12 +72,12 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "TCP listen address")
 	engine := flag.String("engine", "spec", "crash-consistency engine (name or alias: spec, spec-dp, hashlog, undo, kamino, spht, spec-hw, nolog)")
 	profile := flag.String("profile", "", "simulated media profile (default optane-adr)")
-	shards := flag.Int("shards", 4, "worker shards (1..16); each owns one engine thread")
+	shards := flag.Int("shards", 4, "shards (1..16); each owns one engine thread")
 	poolSize := flag.Int("pool-size", 256<<20, "persistent pool size in bytes")
-	maxBatch := flag.Int("max-batch", 32, "cap on requests per group commit; a worker commits what is queued and never waits to fill it (<=1 disables batching)")
+	maxBatch := flag.Int("max-batch", 32, "cap on requests per group commit, i.e. per hold of a shard's combiner lock; the combiner commits what is queued and never waits to fill it (<=1 disables batching)")
 	maxConns := flag.Int("max-conns", 256, "max concurrent connections")
-	maxInFlight := flag.Int("max-inflight", 1024, "max requests admitted to worker queues")
-	mvccOn := flag.Bool("mvcc", true, "serve GETs and read-only MULTIs lock-free from MVCC snapshots instead of the worker queues")
+	maxInFlight := flag.Int("max-inflight", 1024, "max requests admitted to shard queues")
+	mvccOn := flag.Bool("mvcc", true, "serve GETs and read-only MULTIs lock-free from MVCC snapshots instead of the shard queues")
 	proto := flag.String("proto", "auto", "accepted wire protocols: auto (both), text, binary")
 	adminAddr := flag.String("admin", "", "admin HTTP listen address (/metrics, /healthz, /readyz, /debug/spans, /debug/pprof); empty disables")
 	logFormat := flag.String("log-format", "text", "log output format: text | json")

@@ -40,7 +40,7 @@ type Config struct {
 	Keys        int // 64-byte cells in play, or a server scenario's key space
 	WritesPerTx int // maximum writes per transaction
 	PoolSize    int // bytes per pool (per server, in the server scenarios)
-	Shards      int // workers per server
+	Shards      int // shards per server
 	LogCap      int // replication-log bound of the replay scenario's primary
 	Profile     string
 }

@@ -225,7 +225,9 @@ func (s *Store) Reclaims() uint64 { return s.reclaims.Load() }
 // Watermark is a process-wide published-LSN high-water mark with waiters —
 // the replica's GETAT gate and the primary's LSN token source. Load is a
 // plain atomic read (it sits on the snapshot-read fast path); the mutex
-// only serializes advancing and the wake-channel swap.
+// only serializes advancing and the wake channel. The channel exists only
+// once WaitChan has handed it out: an advance with no waiter since the last
+// one closes nothing and allocates nothing (every committed batch advances).
 type Watermark struct {
 	v    atomic.Uint64
 	mu   sync.Mutex
@@ -233,9 +235,7 @@ type Watermark struct {
 }
 
 // NewWatermark returns a watermark at 0.
-func NewWatermark() *Watermark {
-	return &Watermark{wake: make(chan struct{})}
-}
+func NewWatermark() *Watermark { return &Watermark{} }
 
 // Load returns the current value.
 func (w *Watermark) Load() uint64 { return w.v.Load() }
@@ -249,18 +249,23 @@ func (w *Watermark) AdvanceTo(lsn uint64) {
 	w.mu.Lock()
 	if lsn > w.v.Load() {
 		w.v.Store(lsn)
-		close(w.wake)
-		w.wake = make(chan struct{})
+		if w.wake != nil {
+			close(w.wake)
+			w.wake = nil
+		}
 	}
 	w.mu.Unlock()
 }
 
 // WaitChan returns the current value and a channel closed at the next
 // advance — the building block for callers composing their own timeouts.
-// The value is read after the channel under the lock, so a waiter that
+// The value is read with the channel under the lock, so a waiter that
 // sees a stale value is guaranteed a wake on the very next advance.
 func (w *Watermark) WaitChan() (uint64, <-chan struct{}) {
 	w.mu.Lock()
+	if w.wake == nil {
+		w.wake = make(chan struct{})
+	}
 	v, wake := w.v.Load(), w.wake
 	w.mu.Unlock()
 	return v, wake

@@ -196,6 +196,51 @@ func TestWatermarkWait(t *testing.T) {
 	}
 }
 
+// TestWatermarkAdvanceAllocs: with no waiter since the last advance, an
+// advance swaps no wake channel, so it allocates nothing.
+func TestWatermarkAdvanceAllocs(t *testing.T) {
+	w := NewWatermark()
+	var lsn uint64
+	if n := testing.AllocsPerRun(1000, func() {
+		lsn++
+		w.AdvanceTo(lsn)
+	}); n != 0 {
+		t.Fatalf("AdvanceTo with no waiter: %v allocs, want 0", n)
+	}
+}
+
+// TestWatermarkWakesRegisteredWaiter: a channel WaitChan handed out before
+// an advance is closed by that advance — also after advances nobody waited
+// on, and again for the next waiter.
+func TestWatermarkWakesRegisteredWaiter(t *testing.T) {
+	w := NewWatermark()
+	w.AdvanceTo(1)
+	w.AdvanceTo(2)
+	for round := uint64(3); round < 6; round++ {
+		v, wake := w.WaitChan()
+		if v != round-1 {
+			t.Fatalf("WaitChan = %d, want %d", v, round-1)
+		}
+		select {
+		case <-wake:
+			t.Fatal("wake closed before any advance")
+		default:
+		}
+		w.AdvanceTo(round - 1) // not higher: no wake
+		select {
+		case <-wake:
+			t.Fatal("wake closed by an advance that did not raise the mark")
+		default:
+		}
+		w.AdvanceTo(round)
+		select {
+		case <-wake:
+		default:
+			t.Fatalf("advance to %d did not wake a waiter registered before it", round)
+		}
+	}
+}
+
 func TestResetAndSeed(t *testing.T) {
 	s := &Store{}
 	s.Install(1, 10, false, 3)

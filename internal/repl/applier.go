@@ -36,7 +36,7 @@ type Applier struct {
 	shards int
 	// addr is the cursor block (0 until initialised) — atomic because the
 	// heap compactor's relocation hook may move the block (and repoint this
-	// mirror) from a frozen worker while the applier goroutine is between
+	// mirror) inside a Freeze while the applier goroutine is between
 	// applies.
 	addr atomic.Uint64
 

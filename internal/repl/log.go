@@ -13,7 +13,7 @@ const DefaultLogCap = 1 << 16
 // the backpressure valve, trading a laggard's resume cost for bounded
 // primary memory.
 //
-// Safe for concurrent use: the server's shard workers append, per-replica
+// Safe for concurrent use: the server's shard committers append, per-replica
 // sender goroutines read.
 type Log struct {
 	mu   sync.Mutex

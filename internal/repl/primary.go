@@ -178,14 +178,14 @@ func (p *Primary) Log() *Log { return p.log }
 // Publish implements server.Replicator: it assigns the next LSN to a
 // committed transaction's effective writes and returns it (the server stamps
 // the writes' MVCC versions and LSN tokens with it). In SyncAck mode the
-// returned wait stalls the calling worker until every streaming replica
+// returned wait stalls the calling committer until every streaming replica
 // acked the record (or AckTimeout).
 func (p *Primary) Publish(writes []server.RepWrite) (uint64, func()) {
 	lsn := p.log.Append(writes)
 	for i := range writes {
 		if s := writes[i].Shard; s >= 0 && s < len(p.shardHeads) {
-			// Per-shard publishes are ordered (worker, retirer, or the MULTI
-			// barrier), so a plain Store never moves a head backwards.
+			// Per-shard publishes are ordered (each runs under the shard's
+			// combiner lock), so a plain Store never moves a head backwards.
 			p.shardHeads[s].Store(lsn)
 		}
 	}
@@ -414,7 +414,7 @@ func (p *Primary) sendSnapshot(c net.Conn, bw *bufio.Writer, filter int) (next u
 	var pairs []kv
 	var snapLSN uint64
 	err := p.srv.Freeze(func() {
-		snapLSN = p.log.Head() // stable: every worker is parked past its publish
+		snapLSN = p.log.Head() // stable: every shard publishes under its combiner lock
 		p.srv.RangeAll(func(shard int, key, val uint64) bool {
 			if filter < 0 || shard == filter {
 				pairs = append(pairs, kv{shard, key, val})

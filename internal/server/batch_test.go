@@ -10,10 +10,11 @@ import (
 	"time"
 )
 
-// Tests for the batching rule itself (collectBatch): a shard worker commits
-// what is queued the moment its queue runs dry, and a queue is not dry while
-// a connection handler is still dispatching a window it has already read.
-// The window tests run over both codecs: the window loop is the same.
+// Tests for the batching rule itself (commitThrough): the handler that queued
+// a window commits it under each shard's combiner lock, one batch of the
+// oldest queued jobs per hold, and queues its whole window before it commits
+// any of it. The window tests run over both codecs: the window loop is the
+// same.
 
 // TestLoneRequestDoesNotWait: on an idle server nothing overlaps a lone
 // request, so it must commit at once. The bound is half the 200 µs window
@@ -39,7 +40,7 @@ func TestLoneRequestDoesNotWait(t *testing.T) {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	t.Logf("lone SET: p50=%v p95=%v", lat[n/2], lat[n*95/100])
 	if lat[n/2] >= 100*time.Microsecond {
-		t.Fatalf("median lone SET took %v, want < 100µs: the worker is waiting for a batch", lat[n/2])
+		t.Fatalf("median lone SET took %v, want < 100µs: the commit is waiting for a batch", lat[n/2])
 	}
 }
 
@@ -91,14 +92,13 @@ func seqKeys(n int) []uint64 {
 	return keys
 }
 
-// TestBurstCommitsOncePerShard is the regression test for the dispatching
-// rule: one connection's burst must commit as at most one transaction per
-// shard, not one per request — a worker that wakes on the first request
-// holds its batch open until the handler has enqueued the last. The binary
-// burst is a full connection window, the longest a worker has to hold out;
-// without the rule about one such burst in ten splits on a quiet two-CPU
-// host. The text burst is 16 SETs on one shard, which a handler that
-// answers one line at a time commits as 16 transactions.
+// TestBurstCommitsOncePerShard is the regression test for the window rule:
+// one connection's burst must commit as at most one transaction per shard,
+// not one per request — the handler queues its whole window before its
+// first commit, so each shard's first commit turn takes all of it. The
+// binary burst is a full connection window; the text burst is 16 SETs on
+// one shard, which a handler that answered one line at a time would commit
+// as 16 transactions.
 func TestBurstCommitsOncePerShard(t *testing.T) {
 	for _, tc := range []struct {
 		proto     string
@@ -132,10 +132,10 @@ func TestBurstCommitsOncePerShard(t *testing.T) {
 }
 
 // TestBurstExitPaths runs bursts against concurrent cross-shard MULTIs and
-// Freezes, then takes every early exit out of the dispatch window — MOVED,
-// a poisoned request, shutdown — and requires the dispatching count back at
-// zero each time: a leaked count would leave every worker yielding forever
-// with its batch uncommitted. Part of the -race run.
+// Freezes, then takes every early exit out of a window — MOVED, a poisoned
+// request, shutdown — and requires every shard queue empty and every
+// in-flight slot back each time: a job left queued has no committer, and a
+// leaked slot shrinks the gate for good. Part of the -race run.
 func TestBurstExitPaths(t *testing.T) {
 	for _, tc := range []struct {
 		proto  string
@@ -152,8 +152,8 @@ func testBurstExitPaths(t *testing.T, proto string, poison []byte) {
 	s, addr := startServer(t, Config{Shards: 4})
 	idle := func(when string) {
 		t.Helper()
-		if n := s.dispatching.Load(); n != 0 {
-			t.Fatalf("dispatching = %d %s", n, when)
+		if err := quiet(s); err != nil {
+			t.Fatalf("%v %s", err, when)
 		}
 	}
 
@@ -270,7 +270,7 @@ func testBurstExitPaths(t *testing.T, proto string, poison []byte) {
 	idle("after a poisoned request")
 
 	// Shutdown with a burst in flight: whatever the handler was doing, Close
-	// returns (it waits for every handler and worker) and the count is zero.
+	// returns (it waits for every handler) and nothing is left behind.
 	if err := sendSets(c, seqKeys(16), 3); err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +283,25 @@ func testBurstExitPaths(t *testing.T, proto string, poison []byte) {
 	idle("after Close")
 }
 
-// TestBlockedDispatcherDoesNotHoldBatches pins the two escapes from the
-// dispatching rule. A handler that blocks inside its dispatch window — on
-// the in-flight gate, or on a shard frozen at admission — is waiting for
-// requests the workers hold to finish, so the workers must commit without
-// it. Either escape missing turns this test into a hang.
+// quiet reports a job left in a shard queue or an in-flight slot still held.
+func quiet(s *Server) error {
+	for _, sh := range s.shards {
+		if n := sh.queued(); n != 0 {
+			return fmt.Errorf("shard %d holds %d queued jobs", sh.id, n)
+		}
+	}
+	if n := len(s.inflight); n != 0 {
+		return fmt.Errorf("%d in-flight slots held", n)
+	}
+	return nil
+}
+
+// TestBlockedDispatcherDoesNotHoldBatches pins that a handler blocked inside
+// its window — on the in-flight gate, or on a shard frozen at admission —
+// never holds back the commits other requests wait on: a handler blocks at
+// the gate only while its window holds no job, and commits what its window
+// has queued before it parks at admission. A break turns a subtest into a
+// hang, cut by waitFor's deadline.
 func TestBlockedDispatcherDoesNotHoldBatches(t *testing.T) {
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
@@ -299,6 +313,13 @@ func TestBlockedDispatcherDoesNotHoldBatches(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
+	keyOn := func(s *Server, shard int) uint64 {
+		var k uint64
+		for s.shardOf(k) != shard {
+			k++
+		}
+		return k
+	}
 
 	t.Run("in-flight gate full", func(t *testing.T) {
 		s, err := New(Config{Shards: 1, PoolSize: 64 << 20, MaxInFlight: 2})
@@ -307,9 +328,8 @@ func TestBlockedDispatcherDoesNotHoldBatches(t *testing.T) {
 		}
 		defer s.Close()
 		a, b := pipeClient(t, s, "binary"), pipeClient(t, s, "binary")
-		// Hold the worker so both of a's requests sit in the queue with every
-		// in-flight slot taken, and b's handler blocks on the gate inside its
-		// dispatch window.
+		// Hold the shard so both of a's requests sit in the queue with every
+		// in-flight slot taken, and b's handler blocks on the gate.
 		held, release := make(chan struct{}), make(chan struct{})
 		frozen := make(chan error, 1)
 		go func() { frozen <- s.Freeze(func() { close(held); <-release }) }()
@@ -321,7 +341,7 @@ func TestBlockedDispatcherDoesNotHoldBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitFor("a's burst to take both slots", func() bool {
-			return len(s.inflight) == 2 && s.dispatching.Load() == 0
+			return len(s.inflight) == 2 && s.shards[0].queued() == 2
 		})
 		if err := b.SendOp(Op{Kind: OpSet, Key: 9, Arg1: 9}); err != nil {
 			t.Fatal(err)
@@ -329,7 +349,7 @@ func TestBlockedDispatcherDoesNotHoldBatches(t *testing.T) {
 		if err := b.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		waitFor("b's handler to block on the gate", func() bool { return s.dispatching.Load() == 1 })
+		waitFor("b's request to reach the gate", func() bool { return s.binFrames.Load() == 3 })
 		close(release)
 		if err := <-frozen; err != nil {
 			t.Fatal(err)
@@ -347,13 +367,7 @@ func TestBlockedDispatcherDoesNotHoldBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		var onFrozen, onOther uint64
-		for s.shardOf(onFrozen) != 0 {
-			onFrozen++
-		}
-		for s.shardOf(onOther) != 1 {
-			onOther++
-		}
+		onFrozen, onOther := keyOn(s, 0), keyOn(s, 1)
 		a, b := pipeClient(t, s, "binary"), pipeClient(t, s, "binary")
 		s.FreezeShard(0)
 		if err := a.SendOp(Op{Kind: OpSet, Key: onFrozen, Arg1: 1}); err != nil {
@@ -362,17 +376,49 @@ func TestBlockedDispatcherDoesNotHoldBatches(t *testing.T) {
 		if err := a.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		waitFor("a's handler to park on the frozen shard", func() bool {
-			return s.frozenWaits.Load() > 0 && s.dispatching.Load() == 1
-		})
-		// a is parked inside its dispatch window; b's request on the other
-		// shard must still commit.
+		waitFor("a's handler to park on the frozen shard", func() bool { return s.frozenWaits.Load() > 0 })
+		// a is parked inside its window; b's request on the other shard must
+		// still commit.
 		if r, err := b.Set(onOther, 2); err != nil || r.Status != StatusOK {
 			t.Fatalf("SET beside a frozen shard: %+v %v", r, err)
 		}
 		s.UnfreezeShard(0)
 		if r, err := a.RecvResult(); err != nil || r.Status != StatusOK {
 			t.Fatalf("SET after unfreeze: %+v %v", r, err)
+		}
+	})
+
+	t.Run("queued job ahead of a frozen shard", func(t *testing.T) {
+		s, err := New(Config{Shards: 2, PoolSize: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		onFrozen, onOther := keyOn(s, 0), keyOn(s, 1)
+		a, b := pipeClient(t, s, "binary"), pipeClient(t, s, "binary")
+		s.FreezeShard(0)
+		// One window: the first SET queues on shard 1, the second parks at
+		// admission on frozen shard 0. Nobody else commits on shard 1, so
+		// the first SET becomes visible only if a commits it before parking.
+		if err := a.SendOp(Op{Kind: OpSet, Key: onOther, Arg1: 7}); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.SendOp(Op{Kind: OpSet, Key: onFrozen, Arg1: 8}); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor("a's queued SET to be visible while a is parked", func() bool {
+			r, err := b.Get(onOther)
+			return err == nil && r.Status == StatusValue && r.Val == 7
+		})
+		waitFor("a's second SET to park on the frozen shard", func() bool { return s.frozenWaits.Load() > 0 })
+		s.UnfreezeShard(0)
+		for _, want := range []uint64{onOther, onFrozen} {
+			if r, err := a.RecvResult(); err != nil || r.Status != StatusOK {
+				t.Fatalf("SET %d: %+v %v", want, r, err)
+			}
 		}
 	})
 }
@@ -409,5 +455,171 @@ func TestWindowLargerThanInFlightGate(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCombinerHammer drives every commit path at once (part of the -race
+// run): binary and text connections pipelining windows over every shard,
+// concurrent Apply and ApplyAt, cross-shard MULTIs, and Freezes. Every reply
+// must arrive and read its own writes; afterwards no queue holds a job, no
+// in-flight slot is held, and no batch was larger than MaxBatch — one batch
+// per hold of a combiner lock.
+func TestCombinerHammer(t *testing.T) {
+	// 7 = 2^3-1 is the top of the batch_jobs histogram's bucket 3, so the
+	// bucket bound below is exact.
+	const maxBatch, rounds = 7, 200
+	s, addr := startServer(t, Config{Shards: 4, MaxBatch: maxBatch})
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	stop := make(chan struct{})
+	var drivers sync.WaitGroup
+	spawn := func(group *sync.WaitGroup, f func() error) {
+		group.Add(1)
+		go func() {
+			defer group.Done()
+			if err := f(); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	keysAt := func(base uint64, n int) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = base + uint64(i)
+		}
+		return keys
+	}
+	check := func(what string, r OpResult, err error, status Status, val uint64) error {
+		if err != nil || r.Status != status || status == StatusValue && r.Val != val {
+			return fmt.Errorf("%s: %+v %v, want %v %d", what, r, err, status, val)
+		}
+		return nil
+	}
+
+	// Windows: 16 SETs then 16 GETs of the same keys in one flush; the GETs
+	// queue behind the SETs, so each must read its own round.
+	for id, proto := range []string{"binary", "binary", "text", "text"} {
+		keys := keysAt(uint64(id+1)<<32, 16)
+		spawn(&drivers, func() error {
+			c, err := DialProto(addr, 5*time.Second, proto)
+			if err != nil {
+				return err
+			}
+			defer c.Close()
+			for round := uint64(1); round <= rounds; round++ {
+				for _, k := range keys {
+					if err := c.SendOp(Op{Kind: OpSet, Key: k, Arg1: round}); err != nil {
+						return err
+					}
+				}
+				for _, k := range keys {
+					if err := c.SendOp(Op{Kind: OpGet, Key: k}); err != nil {
+						return err
+					}
+				}
+				for range keys {
+					r, err := c.RecvResult()
+					if err := check(proto+" SET", r, err, StatusOK, 0); err != nil {
+						return err
+					}
+				}
+				for _, k := range keys {
+					r, err := c.RecvResult()
+					if err := check(fmt.Sprintf("%s GET %d", proto, k), r, err, StatusValue, round); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+	}
+	// Cross-shard MULTIs, each read back by a cross-shard read-only MULTI.
+	for id, proto := range []string{"binary", "text"} {
+		keys := keysAt(uint64(id+10)<<32, 8)
+		spawn(&drivers, func() error {
+			c, err := DialProto(addr, 5*time.Second, proto)
+			if err != nil {
+				return err
+			}
+			defer c.Close()
+			set, get := make([]Op, len(keys)), make([]Op, len(keys))
+			for round := uint64(1); round <= rounds; round++ {
+				for i, k := range keys {
+					set[i] = Op{Kind: OpSet, Key: k, Arg1: round}
+					get[i] = Op{Kind: OpGet, Key: k}
+				}
+				if _, _, err := c.Exec(set); err != nil {
+					return err
+				}
+				res, _, err := c.Exec(get)
+				if err != nil {
+					return err
+				}
+				for i, r := range res {
+					if err := check(proto+" MULTI GET", r, nil, StatusValue, round); err != nil {
+						return fmt.Errorf("key %d: %w", keys[i], err)
+					}
+				}
+			}
+			return nil
+		})
+	}
+	// Apply and ApplyAt, single- and cross-shard, each read back by Apply.
+	for id := 0; id < 2; id++ {
+		keys := keysAt(uint64(id+20)<<32, 4)
+		spawn(&drivers, func() error {
+			ops := make([]Op, len(keys))
+			var res []Result
+			for round := uint64(1); round <= rounds; round++ {
+				for i, k := range keys {
+					ops[i] = Op{Kind: OpSet, Key: k, Arg1: round}
+				}
+				var err error
+				if id == 0 {
+					_, err = s.Apply(ops[:1], nil, nil)
+				} else {
+					_, err = s.ApplyAt(s.PublishedLSN()+1, ops, nil, nil)
+				}
+				if err != nil {
+					return err
+				}
+				if res, err = s.Apply([]Op{{Kind: OpGet, Key: keys[0]}}, nil, res[:0]); err != nil {
+					return err
+				}
+				if res[0].Status != StatusValue || res[0].Val != round {
+					return fmt.Errorf("Apply GET %d = %+v, want %d", keys[0], res[0], round)
+				}
+			}
+			return nil
+		})
+	}
+	spawn(&wg, func() error {
+		for {
+			select {
+			case <-stop:
+				return nil
+			default:
+			}
+			if err := s.Freeze(func() { s.RangeAll(func(int, uint64, uint64) bool { return true }) }); err != nil {
+				return err
+			}
+		}
+	})
+	drivers.Wait()
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := quiet(s); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range s.shards {
+		for b, n := range sh.batchJobs.Snapshot().Counts {
+			if top := 1<<b - 1; n > 0 && top > maxBatch {
+				t.Fatalf("shard %d: %d batches in bucket %d (up to %d jobs), MaxBatch %d", sh.id, n, b, top, maxBatch)
+			}
+		}
 	}
 }

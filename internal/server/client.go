@@ -18,8 +18,8 @@ import (
 //
 // Beyond the one-call-one-reply methods, SendOp / Flush / RecvResult expose
 // explicit pipelining: queue a window of requests, flush once, then collect
-// the replies in send order. On either protocol the server dispatches a
-// buffered window to the shard workers before writing any reply.
+// the replies in send order. On either protocol the server queues a
+// buffered window on its shards before committing or answering any of it.
 type Client struct {
 	conn    net.Conn
 	br      *bufio.Reader

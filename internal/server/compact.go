@@ -11,8 +11,8 @@ import (
 // shard maps do not own, the hook must either relocate it crash-consistently
 // — copy [old, old+n), repoint its reference, return owned=true — or report
 // owned=false so the next hook is tried. Hooks run inside a Freeze (the
-// store is quiesced) on a worker goroutine. A non-nil err aborts the
-// compaction run; nothing is lost.
+// store is quiesced) on the goroutine that called it. A non-nil err aborts
+// the compaction run; nothing is lost.
 type RelocateHook func(old, new specpmt.Addr, n int) (owned bool, err error)
 
 // OnRelocate registers a relocation hook for heap blocks owned by an
@@ -104,8 +104,8 @@ func (s *Server) maybeCompact() {
 		"footprint", h.Footprint(), "live", h.Live())
 }
 
-// runCompactor is the background compaction loop, started with the workers
-// when CompactEvery > 0 and stopped by Close.
+// runCompactor is the background compaction loop, started before the first
+// request when CompactEvery > 0 and stopped by Close.
 func (s *Server) runCompactor() {
 	t := time.NewTicker(s.cfg.CompactEvery)
 	defer t.Stop()

@@ -55,8 +55,8 @@ func TestCompactorPausesUnderLoad(t *testing.T) {
 		return true, nil
 	})
 
-	// Fragment the data heap under a Freeze (direct transactions on worker
-	// threads are only safe while the workers are parked): fill spans with
+	// Fragment the data heap under a Freeze (direct transactions on shard
+	// threads are only safe under the combiner locks): fill spans with
 	// stamped fillers, then free alternate blocks.
 	const fillerSize = 2048
 	var allocErr error

@@ -60,7 +60,7 @@ func scriptBytes(script []step) []byte {
 // FuzzServeConn throws arbitrary client streams at one connection — text,
 // or binary when the stream opens with the version byte — and requires that
 // the handler neither panics nor leaks: once the connection is gone, every
-// in-flight slot is back and no window is still dispatching.
+// in-flight slot is back and every shard queue is empty.
 func FuzzServeConn(f *testing.F) {
 	f.Add(scriptBytes(textScript()))
 	f.Add(append([]byte{BinVersion}, scriptBytes(binaryScript())...))
@@ -83,8 +83,8 @@ func FuzzServeConn(f *testing.F) {
 		case <-time.After(4 * getAtTimeout):
 			t.Fatalf("handler still running %v after its connection closed", 4*getAtTimeout)
 		}
-		if n, d := len(s.inflight), s.dispatching.Load(); n != 0 || d != 0 {
-			t.Fatalf("after the connection: %d in-flight slots held, dispatching = %d", n, d)
+		if err := quiet(s); err != nil {
+			t.Fatalf("after the connection: %v", err)
 		}
 	})
 }

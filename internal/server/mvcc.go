@@ -14,15 +14,16 @@ import (
 // sees exactly the published prefix of the commit order — never a write
 // whose transaction has not committed. GETs and single-shard
 // read-only MULTIs are then served lock-free from the snapshot without
-// entering the shard worker queue. Cross-shard read-only MULTIs stay on the
+// entering a shard queue. Cross-shard read-only MULTIs stay on the
 // queued path: per-shard watermarks advance independently, so no pair of
 // single-shard snapshots is guaranteed to cut a cross-shard transaction
 // atomically (see DESIGN.md).
 //
 // Writes that reach a store without an LSN (cluster-migration applies,
 // replica bootstrap batches) mark it stale: the fast path falls back to the
-// queued path and the worker rebuilds the store from the hash map at the
-// next idle moment, preserving the watermark.
+// queued path and a combiner rebuilds the store from the hash map at the
+// end of a commit turn that leaves the queue empty, preserving the
+// watermark.
 
 // getAtTimeout bounds how long a GETAT parks waiting for the published LSN
 // to reach its token before answering ERR — a replica that far behind
@@ -199,8 +200,8 @@ func (s *Server) installBatch(batch []*job, extLSN uint64) {
 // surviving pair reseeds as a base version at LSN 0, the watermark is
 // preserved (a snapshot at the old watermark reads the base state, which by
 // construction includes every write published up to it), and the stale flag
-// clears. Callers must hold the shard quiesced: its worker between jobs, a
-// Freeze callback, or the post-Crash window.
+// clears. Callers must hold the shard's combiner lock (a commit turn, a
+// Freeze callback, Crash) or run before the first request.
 func (s *Server) rebuildStore(sh *shard) {
 	if !s.mvccOn {
 		return

@@ -1,11 +1,12 @@
 // Package server is a network front end for the SpecPMT engines: a TCP
 // server speaking a small line-oriented protocol over a sharded, threaded
-// persistent pool. Each worker goroutine owns one engine thread and one
-// shard of a persistent hash map; requests are routed to workers by key
-// hash, and a worker commits whatever is queued for it as one transaction,
-// never waiting for more, so the commit fence amortizes across overlapping
-// requests — the server-side analogue of the paper's single-fence commit
-// argument.
+// persistent pool. Each shard owns one engine thread and one shard of a
+// persistent hash map; requests are routed to shards by key hash, and the
+// connection handler that queued a request commits it, together with
+// whatever else is queued on the shard, as one transaction under the
+// shard's combiner lock — never waiting for more, so the commit fence
+// amortizes across overlapping requests — the server-side analogue of the
+// paper's single-fence commit argument.
 //
 // # Wire protocol
 //
@@ -32,7 +33,7 @@
 //	QUIT             BYE (server closes the connection)
 //	anything else    ERR <message>
 //
-// Replies served from an MVCC snapshot (never from the worker queue) carry
+// Replies served from an MVCC snapshot (never from a shard queue) carry
 // an s=1 marker before the t= trailer; their modeled PM time is 0 because
 // the read touched no persistent structure.
 //

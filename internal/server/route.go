@@ -117,8 +117,10 @@ func (s *Server) routeChanged() {
 // admitShards gates a request's shard set against the cluster route. It
 // returns a non-nil Moved when some shard is owned elsewhere (reply with a
 // redirect), parks while an owned shard is frozen, and errors only on
-// shutdown or a stuck freeze.
-func (s *Server) admitShards(shards []int) (*Moved, error) {
+// shutdown or a stuck freeze. Before it parks it commits what w has queued:
+// those jobs may have no other committer, and until they commit no other
+// connection sees them.
+func (s *Server) admitShards(w *window, shards []int) (*Moved, error) {
 	if s.route.Load() == nil && s.frozenMask.Load() == 0 {
 		return nil, nil // standalone fast path
 	}
@@ -143,6 +145,11 @@ func (s *Server) admitShards(shards []int) (*Moved, error) {
 		}
 		if !blocked {
 			return nil, nil
+		}
+		for i := range w.pend {
+			if j := w.pend[i].j; j != nil {
+				s.commitThrough(j)
+			}
 		}
 		s.frozenWaits.Add(1)
 		s.routeMu.Lock()

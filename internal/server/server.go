@@ -32,14 +32,15 @@ type Config struct {
 	Engine string
 	// Profile names the simulated media profile (see sim.ProfileNames).
 	Profile string
-	// Shards is the worker count: each worker owns one engine thread and
-	// one hash-map shard. 1..16 (root-slot bound). Default 4.
+	// Shards is the shard count: each shard owns one engine thread and one
+	// hash-map shard. 1..16 (root-slot bound). Default 4.
 	Shards int
 	// PoolSize is the persistent pool size in bytes (default 256 MiB).
 	PoolSize int
-	// MaxBatch caps the requests one group commit coalesces; a worker never
-	// waits to reach it. <= 1 disables batching (every request commits its
-	// own transaction). Default 32.
+	// MaxBatch caps the requests one group commit coalesces — the jobs a
+	// combiner commits per hold of a shard's lock; nobody waits to reach
+	// it. <= 1 disables batching (every request commits its own
+	// transaction). Default 32.
 	MaxBatch int
 	// Proto selects which wire protocols the listener accepts: "auto"
 	// (default) serves text and, after the 0xB1 version byte, binary;
@@ -49,7 +50,7 @@ type Config struct {
 	// MaxConns bounds concurrent connections; over-limit dials are refused
 	// with an ERR line. Default 256.
 	MaxConns int
-	// MaxInFlight bounds requests admitted to worker queues across all
+	// MaxInFlight bounds requests admitted to shard queues across all
 	// connections — the backpressure valve. Default 1024.
 	MaxInFlight int
 	// CompactEvery, when > 0, runs the background heap compactor: every
@@ -69,10 +70,10 @@ type Config struct {
 	// runtime (promotion).
 	ReadOnly bool
 	// NoMVCC disables the MVCC snapshot-read subsystem: GETs and read-only
-	// MULTIs queue behind the shard workers like writes do. The zero value
+	// MULTIs queue on their shards like writes do. The zero value
 	// keeps MVCC on — committed writes install versioned values stamped
 	// with their publication LSN, and reads serve lock-free from a
-	// consistent snapshot without entering the worker queue.
+	// consistent snapshot without entering a shard queue.
 	NoMVCC bool
 	// Tracer, when non-nil, receives the pool's simulation events plus
 	// replication ship/ack/apply events (see internal/trace).
@@ -101,15 +102,15 @@ type RepWrite struct {
 	Key, Val uint64
 }
 
-// Replicator receives every committed transaction's effective write set
-// from the shard workers, in a valid serialization order (per-shard commit
-// order preserved; cross-shard transactions totally ordered by the MULTI
-// barrier). Publish returns the record's LSN — the publication stamp the
-// MVCC version stores install the writes at — and a wait function for
-// synchronous replication modes: when non-nil the worker calls it before
-// releasing the batch to its clients, extending the commit past the
-// network hop (nil for fire-and-forget shipping). Publish is called from
-// multiple worker goroutines and must be safe for concurrent use.
+// Replicator receives every committed transaction's effective write set, in
+// a valid serialization order: each shard publishes under its combiner lock,
+// and a cross-shard transaction under the locks of every shard it touches.
+// Publish returns the record's LSN — the publication stamp the MVCC version
+// stores install the writes at — and a wait function for synchronous
+// replication modes: when non-nil the committer calls it before releasing
+// the batch to its clients, extending the commit past the network hop (nil
+// for fire-and-forget shipping). Publish is called from many goroutines and
+// must be safe for concurrent use.
 type Replicator interface {
 	Publish(writes []RepWrite) (lsn uint64, wait func())
 }
@@ -198,15 +199,14 @@ type Server struct {
 
 	quit      chan struct{}
 	closeOnce sync.Once
-	workersUp sync.Once
+	started   sync.Once
 	connWG    sync.WaitGroup
-	workerWG  sync.WaitGroup
+	compactWG sync.WaitGroup
 	inflight  chan struct{}
-	multiMu   sync.Mutex
 
 	// opMu/closing/opWG fence internal operations (Apply, Freeze) against
 	// Close: once closing is set no new internal op may start, and Close
-	// waits for the in-flight ones before shutting the worker queues.
+	// waits for the in-flight ones before closing the pool.
 	opMu    sync.Mutex
 	closing bool
 	opWG    sync.WaitGroup
@@ -234,10 +234,6 @@ type Server struct {
 	frozenMask atomic.Uint64
 
 	readOnly atomic.Bool
-
-	// dispatching counts connection handlers part-way through enqueueing a
-	// window they have read; see collectBatch.
-	dispatching atomic.Int64
 
 	// MVCC snapshot reads (mvcc.go). mvccOn is !cfg.NoMVCC (immutable
 	// after New); pub is the published-LSN watermark GETAT tokens wait on;
@@ -299,8 +295,7 @@ type StatsHook func(emit func(name string, val uint64))
 var ErrClosed = errors.New("server: closed")
 
 // New builds a server: it opens the threaded pool and one hash-map shard
-// per worker, but does not listen or start workers — call ListenAndServe
-// or Serve.
+// per engine thread, but does not listen — call ListenAndServe or Serve.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -346,7 +341,7 @@ func New(cfg Config) (*Server, error) {
 	s.mvccOn = !cfg.NoMVCC
 	s.pub = mvcc.NewWatermark()
 	for i := 0; i < cfg.Shards; i++ {
-		sh, err := newShard(pool, i, cfg.MaxBatch)
+		sh, err := newShard(pool, i)
 		if err != nil {
 			pool.Close()
 			return nil, fmt.Errorf("server: shard %d: %w", i, err)
@@ -379,7 +374,7 @@ func (s *Server) nowNs() int64 {
 // persistence domain as the data.
 func (s *Server) Pool() *specpmt.ThreadedPool { return s.pool }
 
-// Shards returns the worker-shard count.
+// Shards returns the shard count.
 func (s *Server) Shards() int { return len(s.shards) }
 
 // SetReplicator installs the commit-stream subscriber. Set it before the
@@ -436,7 +431,7 @@ func (s *Server) extCommand() ExtCommand {
 }
 
 // SetReadOnly flips write rejection at runtime; promotion calls it with
-// false. In-flight writes already admitted to a worker queue still commit.
+// false. In-flight writes already admitted to a shard queue still commit.
 func (s *Server) SetReadOnly(ro bool) { s.readOnly.Store(ro) }
 
 // ReadOnly reports whether the server currently rejects writes.
@@ -468,12 +463,12 @@ func (s *Server) ListenAndServe() error {
 	return s.Serve(ln)
 }
 
-// Serve starts the shard workers and accepts connections on ln until Close.
+// Serve accepts connections on ln until Close.
 func (s *Server) Serve(ln net.Listener) error {
 	s.lnMu.Lock()
 	s.ln = ln
 	s.lnMu.Unlock()
-	s.startWorkers()
+	s.startup()
 	s.log.Info("serving",
 		"engine", s.cfg.Engine, "profile", s.cfg.Profile,
 		"shards", s.cfg.Shards, "addr", ln.Addr().String())
@@ -503,33 +498,28 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // ServeConn serves one pre-established connection (e.g. one end of a
-// net.Pipe) in the calling goroutine, returning when it closes. Workers are
-// started on demand.
+// net.Pipe) in the calling goroutine, returning when it closes.
 func (s *Server) ServeConn(c net.Conn) {
-	s.startWorkers()
+	s.startup()
 	s.connWG.Add(1)
 	defer s.connWG.Done()
 	s.handleConn(c)
 }
 
-func (s *Server) startWorkers() {
-	s.workersUp.Do(func() {
+// startup runs once, before the first request: every shard publishes its
+// STATS snapshot and seeds its version store from the (possibly recovered)
+// map — every surviving key is a base version visible at any snapshot — and
+// the background compactor starts.
+func (s *Server) startup() {
+	s.started.Do(func() {
 		for _, sh := range s.shards {
 			sh.publish()
-			// Seed the version store from the (possibly recovered) map
-			// before the worker goroutine exists — every surviving key is a
-			// base version visible at any snapshot.
 			s.rebuildStore(sh)
-			s.workerWG.Add(1)
-			go func(sh *shard) {
-				defer s.workerWG.Done()
-				s.runWorker(sh)
-			}(sh)
 		}
 		if s.cfg.CompactEvery > 0 {
-			s.workerWG.Add(1)
+			s.compactWG.Add(1)
 			go func() {
-				defer s.workerWG.Done()
+				defer s.compactWG.Done()
 				s.runCompactor()
 			}()
 		}
@@ -537,8 +527,9 @@ func (s *Server) startWorkers() {
 }
 
 // Close drains the server: stop accepting, let every in-flight request
-// finish and its connection wind down, stop the workers, then close the
-// pool. Safe to call more than once.
+// finish and its connection wind down, then close the pool. Every request
+// commits on the goroutine that queued it, so once the handlers and internal
+// operations are gone, no queue holds a job. Safe to call more than once.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -560,12 +551,7 @@ func (s *Server) Close() error {
 		s.connMu.Unlock()
 		s.connWG.Wait()
 		s.opWG.Wait()
-		// No submitters remain: drain the workers.
-		s.startWorkers() // ensure worker goroutines exist before closing queues
-		for _, sh := range s.shards {
-			close(sh.jobs)
-		}
-		s.workerWG.Wait()
+		s.compactWG.Wait()
 		err = s.pool.Close()
 		s.log.Info("closed", "conns_served", s.totalConns.Load())
 	})
@@ -574,7 +560,7 @@ func (s *Server) Close() error {
 
 // Counters returns the pool's counters. Call it on a quiesced server (all
 // in-flight requests done) — e.g. after Close, or from tests that know the
-// workers are idle.
+// shards are idle.
 func (s *Server) Counters() specpmt.Counters { return s.pool.Counters() }
 
 // beginOp registers an internal operation (Apply, Freeze) so Close waits
@@ -592,10 +578,10 @@ func (s *Server) beginOp() bool {
 // ErrApply is returned by Apply when the transaction could not commit.
 var ErrApply = errors.New("server: apply failed")
 
-// Apply executes ops as ONE transaction through the owning shard workers —
-// the replication replay entry point. Cross-shard operation sets use the
-// same barrier protocol as MULTI, so a replayed transaction is exactly as
-// atomic as it was on the primary. extra, when non-nil, runs inside the
+// Apply executes ops as ONE transaction on the owning shards — the
+// replication replay entry point. Cross-shard operation sets commit the
+// same way as MULTI, so a replayed transaction is exactly as atomic as it
+// was on the primary. extra, when non-nil, runs inside the
 // same transaction after the ops (replicas stamp their applied-LSN cells
 // with it, making replay exactly-once across crashes). Results are appended
 // to results and returned. Safe for concurrent use; applies admitted to the
@@ -611,7 +597,7 @@ func (s *Server) Apply(ops []Op, extra func(specpmt.Tx), results []Result) ([]Re
 // applies atomically, so visibility jumping to its end is consistent).
 // lsn 0 (plain Apply) installs nothing: writes without a publication LSN
 // mark their stores stale and the fast path falls back to the queued path
-// until the worker rebuilds the store.
+// until a combiner rebuilds the store.
 func (s *Server) ApplyAt(lsn uint64, ops []Op, extra func(specpmt.Tx), results []Result) ([]Result, error) {
 	if len(ops) == 0 {
 		return results, nil
@@ -620,18 +606,15 @@ func (s *Server) ApplyAt(lsn uint64, ops []Op, extra func(specpmt.Tx), results [
 		return results, ErrClosed
 	}
 	defer s.opWG.Done()
-	s.startWorkers()
+	s.startup()
 	if !s.acquire() {
 		return results, ErrClosed
 	}
 	s.maxLSNClock(lsn)
-	j := newJob()
-	j.internal = true
-	j.pubLSN = lsn
-	j.extra = extra
+	j := &job{internal: true, pubLSN: lsn, extra: extra}
 	j.ops = append(j.ops, ops...)
-	s.dispatch(j, s.shardSet(j.shardBuf[:0], j.ops))
-	<-j.done
+	s.run(j, s.shardSet(j.shardBuf[:0], j.ops))
+	s.commitThrough(j)
 	s.release()
 	results = append(results, j.results...)
 	for _, r := range j.results {
@@ -642,27 +625,32 @@ func (s *Server) ApplyAt(lsn uint64, ops []Op, extra func(specpmt.Tx), results [
 	return results, nil
 }
 
-// Freeze parks every shard worker at a barrier and calls fn with the store
-// quiesced: no transaction is in flight, and fn may read any shard (e.g.
-// via RangeAll) as one consistent point-in-time cut. Commits stall for the
-// duration — snapshot transfers should copy out under Freeze and stream
-// after it returns. fn runs on a worker goroutine.
+// Freeze takes every shard's combiner lock in ascending order, commits what
+// is queued, and calls fn with the store quiesced: no transaction is in
+// flight, and fn may read any shard (e.g. via RangeAll) as one consistent
+// point-in-time cut. Commits stall for the duration — snapshot transfers
+// should copy out under Freeze and stream after it returns. fn runs on the
+// caller's goroutine and must not call Apply or Freeze.
 func (s *Server) Freeze(fn func()) error {
 	if !s.beginOp() {
 		return ErrClosed
 	}
 	defer s.opWG.Done()
-	s.startWorkers()
-	j := newJob()
-	j.internal = true
-	j.frozen = fn
+	s.startup()
+	all := s.allShards()
+	s.lockShards(all)
+	fn()
+	s.unlockShards(all)
+	return nil
+}
+
+// allShards returns every shard id, ascending.
+func (s *Server) allShards() []int {
 	all := make([]int, len(s.shards))
 	for i := range all {
 		all[i] = i
 	}
-	s.dispatch(j, all)
-	<-j.done
-	return nil
+	return all
 }
 
 // RangeAll iterates every shard's committed pairs. Only coherent from
@@ -687,11 +675,23 @@ func (s *Server) RangeAll(fn func(shard int, key, val uint64) bool) {
 // the pool crashes (randomly evicting dirty lines per the media profile),
 // engine recovery replays the committed history, and every shard reattaches
 // to its persistent map. The caller must guarantee the server is quiesced —
-// no in-flight requests, applies, or freezes. Workers stay parked on their
-// queues throughout and observe the reattached state via the next job.
+// no in-flight requests, applies, or freezes. Crash holds every shard's
+// combiner lock from the power failure until the maps are reattached, so
+// no commit turn (nor its idle store rebuild) can touch a shard meanwhile.
 // Recovery ends with SelfCheck, so a server can never silently resume over
 // a state that violates its recovery invariants.
 func (s *Server) Crash(seed uint64) error {
+	if err := s.crashAndReattach(seed); err != nil {
+		return err
+	}
+	return s.SelfCheck()
+}
+
+func (s *Server) crashAndReattach(seed uint64) error {
+	for _, sh := range s.shards {
+		sh.comb.Lock()
+		defer sh.comb.Unlock()
+	}
 	if err := s.pool.Crash(seed); err != nil {
 		return err
 	}
@@ -709,7 +709,7 @@ func (s *Server) Crash(seed uint64) error {
 		// recovered map (base versions at LSN 0, watermark preserved).
 		s.rebuildStore(sh)
 	}
-	return s.SelfCheck()
+	return nil
 }
 
 // noteCheck folds one recovery-checker run into the observability counters
@@ -773,11 +773,7 @@ func (s *Server) selfCheckQuiesced() error {
 // (hashmap.Map.CheckRecovered). The crash harness's replica-replay
 // scenario drives this after every replica power failure.
 func (s *Server) CheckRecovered(expect map[uint64]uint64) error {
-	all := make([]int, len(s.shards))
-	for i := range all {
-		all[i] = i
-	}
-	return s.CheckRecoveredShards(expect, all)
+	return s.CheckRecoveredShards(expect, s.allShards())
 }
 
 // CheckRecoveredShards is CheckRecovered restricted to the listed shards —
@@ -907,7 +903,7 @@ type reqKind uint8
 
 const (
 	reqOps     reqKind = iota // data operations, run by serve
-	reqReply                  // answered without the shard workers
+	reqReply                  // answered without a shard
 	reqBarrier                // a barrier verb (see serveConn)
 )
 
@@ -932,8 +928,8 @@ type request struct {
 // at once.
 const maxConnWindow = 64
 
-// pending is one request of a window, in arrival order: a dispatched job
-// awaiting its done token, or an encoded reply (kept across windows).
+// pending is one request of a window, in arrival order: a job, or an
+// encoded reply (kept across windows).
 type pending struct {
 	j     *job
 	multi bool
@@ -947,7 +943,7 @@ type pending struct {
 type window struct {
 	pend []pending
 	jobs []*job // freelist, one per job-backed slot
-	nj   int    // jobs dispatched, each holding an in-flight slot
+	nj   int    // jobs queued or run, each holding an in-flight slot
 	out  []byte
 	quit bool
 }
@@ -966,16 +962,16 @@ func (w *window) push() *pending {
 // serveConn is the one request loop, whatever the wire format. A window
 // opens with a blocking read of one request; requests already fully
 // buffered join it — the handler never blocks on the socket while replies
-// are owed — up to maxConnWindow, each dispatched to the shard workers
-// before any reply is awaited. The replies then go out in arrival order in
+// are owed — up to maxConnWindow, each queued on its shard (a cross-shard
+// transaction commits at once) before any is committed. The handler then
+// commits its window through, in arrival order, and the replies go out in
 // one write.
 //
 // Barrier verbs (LSN, GETAT, STATS, PROMOTE, extension verbs) never run
-// inside a window's dispatching section: one found later in a window ends
-// it and leads the next, so it runs once every reply ahead of it is
-// written. Inside the section a token or STATS block would miss the writes
-// queued ahead of it, and a GETAT wait or an extension verb calling Apply
-// would block on workers holding their batch open for this very window.
+// inside a window: one found later in a window ends it and leads the next,
+// so it runs once every reply ahead of it is written. Inside the window a
+// token or STATS block would miss the writes queued ahead of it, and a
+// GETAT wait could wait on a write only this handler is bound to commit.
 func (s *Server) serveConn(c net.Conn, br *bufio.Reader, cd codec, co *connObs) {
 	// Deadline re-arming is amortized: a timer modification costs more than
 	// the clock read guarding it. Deadlines are re-armed once a quarter of
@@ -1027,9 +1023,6 @@ func (s *Server) serveConn(c net.Conn, br *bufio.Reader, cd codec, co *connObs) 
 		if req.kind == reqBarrier {
 			req, err = cd.barrier(req)
 		}
-		// Workers hold their batches open until the whole window is enqueued
-		// (collectBatch); nothing between the Add and its undo returns.
-		s.dispatching.Add(1)
 		for err == nil {
 			if req.kind == reqReply {
 				p := w.push()
@@ -1048,9 +1041,8 @@ func (s *Server) serveConn(c net.Conn, br *bufio.Reader, cd codec, co *connObs) 
 				break
 			}
 		}
-		s.dispatching.Add(-1)
-		// Await the window's jobs in order and encode their replies; this
-		// must complete on every exit so each in-flight slot is released.
+		// Commit the window's jobs through in order and encode their replies;
+		// this must complete on every exit so each in-flight slot is released.
 		w.out = w.out[:0]
 		for i := range w.pend {
 			p := &w.pend[i]
@@ -1058,7 +1050,7 @@ func (s *Server) serveConn(c net.Conn, br *bufio.Reader, cd codec, co *connObs) 
 				w.out = append(w.out, p.reply...)
 				continue
 			}
-			<-p.j.done
+			s.commitThrough(p.j)
 			s.release()
 			if s.stamps {
 				s.observeRequest(co, p.j, p.multi, p.t0, p.nsh)
@@ -1078,8 +1070,8 @@ func (s *Server) serveConn(c net.Conn, br *bufio.Reader, cd codec, co *connObs) 
 }
 
 // serve runs one data request: read-only reject, cluster admission (MOVED),
-// the snapshot fast path, then an in-flight slot and dispatch to the shard
-// workers. Its outcome joins the window as a reply or a dispatched job. A
+// the snapshot fast path, then an in-flight slot and its shard queue (run,
+// below). Its outcome joins the window as a reply or a job. A
 // job holds its slot until the whole window is answered, so serve waits
 // for a slot only while the window holds none; after that it takes one
 // only if one is free, and otherwise reports held, having changed nothing:
@@ -1097,13 +1089,13 @@ func (s *Server) serve(w *window, cd codec, req request) (held bool, err error) 
 		return false, nil
 	}
 	if w.nj == len(w.jobs) {
-		w.jobs = append(w.jobs, newJob())
+		w.jobs = append(w.jobs, &job{})
 	}
 	j := w.jobs[w.nj]
 	j.reset()
 	j.ops = append(j.ops, req.ops...)
 	shards := s.shardSet(j.shardBuf[:0], j.ops)
-	if mv, err := s.admitShards(shards); mv != nil || err != nil {
+	if mv, err := s.admitShards(w, shards); mv != nil || err != nil {
 		if err == ErrClosed {
 			return false, err
 		}
@@ -1117,7 +1109,7 @@ func (s *Server) serve(w *window, cd codec, req request) (held bool, err error) 
 	}
 	// Snapshot fast path: single-shard reads are served lock-free from the
 	// shard's MVCC store. Only when nothing earlier in this window was
-	// dispatched to a worker: a queued write ahead must be visible
+	// queued: a queued write ahead must be visible
 	// (read-your-writes), and a queued read ahead would see newer state than
 	// a snapshot read behind it — serving out of order would let this
 	// connection read backwards in time. Such a diversion counts as a
@@ -1151,7 +1143,7 @@ func (s *Server) serve(w *window, cd codec, req request) (held bool, err error) 
 	if s.stamps {
 		j.wallEnq = s.nowNs()
 	}
-	s.dispatch(j, shards)
+	s.run(j, shards)
 	return false, nil
 }
 
@@ -1360,29 +1352,21 @@ func (s *Server) tryAcquire() bool {
 
 func (s *Server) release() { <-s.inflight }
 
-// dispatch routes a job to its shard worker — or, when the operations span
-// several shards, enqueues it to every involved worker under the multi
-// mutex, which totally orders cross-shard transactions and rules out
-// circular waits between their barriers.
-func (s *Server) dispatch(j *job, shardIDs []int) {
-	if len(shardIDs) == 1 && j.frozen == nil {
-		j.multi = nil
-		s.shards[shardIDs[0]].jobs <- j
+// run starts a job on its shards: a single-shard job joins its shard's
+// queue, and the caller must commitThrough it; a cross-shard job commits
+// before run returns (runMulti), after everything queued ahead on its
+// shards.
+func (s *Server) run(j *job, ids []int) {
+	if len(ids) == 1 {
+		s.shards[ids[0]].enqueue(j)
 		return
 	}
-	j.multi = &multiJob{shards: shardIDs, released: make(chan struct{})}
-	j.multi.parked.Add(len(shardIDs) - 1)
-	j.multi.published.Add(len(shardIDs) - 1)
-	s.multiMu.Lock()
-	for _, id := range shardIDs {
-		s.shards[id].jobs <- j
-	}
-	s.multiMu.Unlock()
+	s.runMulti(j, ids)
 }
 
 func (s *Server) shardOf(key uint64) int { return ShardOf(key, len(s.shards)) }
 
-// ShardOf maps a key onto one of `shards` worker shards — the placement
+// ShardOf maps a key onto one of `shards` shards — the placement
 // function shared by every node of a cluster (all nodes run the same global
 // shard count, so a key's shard id is cluster-wide; the cluster map then
 // maps shard id to owning node).
@@ -1415,12 +1399,12 @@ func (s *Server) shardSet(dst []int, ops []Op) []int {
 func (s *Server) registerMetrics() {
 	r := s.reg
 	r.Family("specpmt_engine_ok", "1 while the engine is serving", obs.KindGauge)
-	r.Family("specpmt_shards", "worker shard count", obs.KindGauge)
+	r.Family("specpmt_shards", "shard count", obs.KindGauge)
 	r.Family("specpmt_uptime_ms", "wall-clock milliseconds since the server started", obs.KindGauge)
 	r.Family("specpmt_conns_active", "currently open client connections", obs.KindGauge)
 	r.Family("specpmt_conns_total", "client connections accepted since start", obs.KindCounter)
 	r.Family("specpmt_conns_refused", "connections refused at the MaxConns gate", obs.KindCounter)
-	r.Family("specpmt_inflight", "requests admitted to worker queues right now", obs.KindGauge)
+	r.Family("specpmt_inflight", "requests admitted to shard queues right now", obs.KindGauge)
 	r.Family("specpmt_keys", "live keys across all shards", obs.KindGauge)
 	r.Family("specpmt_ops_total", "data operations received, by type", obs.KindCounter)
 	r.Family("specpmt_multis", "MULTI/EXEC transactions executed", obs.KindCounter)
@@ -1450,7 +1434,7 @@ func (s *Server) registerMetrics() {
 	r.Family("specpmt_mvcc_enabled", "1 while the MVCC snapshot-read subsystem is on", obs.KindGauge)
 	r.Family("specpmt_snapshot_reads", "GET operations served lock-free from an MVCC snapshot", obs.KindCounter)
 	r.Family("specpmt_snapshot_multis", "read-only MULTI blocks served from one MVCC snapshot", obs.KindCounter)
-	r.Family("specpmt_snapshot_fallbacks", "snapshot-path reads that fell back to the worker queue", obs.KindCounter)
+	r.Family("specpmt_snapshot_fallbacks", "snapshot-path reads that fell back to a shard queue", obs.KindCounter)
 	r.Family("specpmt_versions_live", "MVCC versions currently reachable across all shards", obs.KindGauge)
 	r.Family("specpmt_version_reclaims", "MVCC versions reclaimed as unreachable by any snapshot", obs.KindCounter)
 	r.Family("specpmt_published_lsn", "published-LSN watermark (the GETAT read-your-writes token)", obs.KindGauge)
@@ -1577,7 +1561,7 @@ func (s *Server) collectMetrics(emit func(obs.Sample)) {
 	scalar("specpmt_pm_log_bytes", "pm_log_bytes", agg.PMLogBytes)
 	scalar("specpmt_pm_data_bytes", "pm_data_bytes", agg.PMDataBytes)
 	scalar("specpmt_log_records", "log_records", agg.LogRecords)
-	// Per-shard visibility: committed transactions and keys per worker, the
+	// Per-shard visibility: committed transactions and keys per shard, the
 	// denominators behind per-shard replication LSNs and skew diagnosis.
 	for i := range cuts {
 		emit(obs.Sample{Family: "specpmt_shard_tx_committed", Label: obs.ShardLabel(i),

@@ -25,10 +25,10 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Start the workers here, not on the Serve goroutine: tests read
+	// Start up here, not on the Serve goroutine: tests read
 	// model-clock-advancing state (s.Counters) right after this returns,
-	// which must not race the workers' initial stats publish.
-	s.startWorkers()
+	// which must not race the shards' initial stats publish.
+	s.startup()
 	go s.Serve(ln)
 	t.Cleanup(func() { s.Close() })
 	return s, ln.Addr().String()
@@ -456,4 +456,32 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		t.Fatal("Close did not drain within 30s")
 	}
 	wg.Wait()
+}
+
+// TestCrashAfterUnstampedApply is the regression test for Crash racing the
+// idle-time version-store rebuild (part of the -race run): a plain Apply
+// carries no publication LSN, so it marks its store stale, and the rebuild
+// that catches the store up must never run while Crash swaps the shard's
+// engine thread and map. Afterwards every applied key survives, and the
+// snapshot path serves it.
+func TestCrashAfterUnstampedApply(t *testing.T) {
+	s, err := New(Config{Shards: 2, PoolSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for round := uint64(1); round <= 20; round++ {
+		if _, err := s.Apply([]Op{{Kind: OpSet, Key: round, Arg1: round}}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Crash(round); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	c := pipeClient(t, s, "binary")
+	for k := uint64(1); k <= 20; k++ {
+		if r, err := c.Get(k); err != nil || r.Status != StatusValue || r.Val != k || !r.Snap {
+			t.Fatalf("GET %d after crashes = %+v %v, want %d from a snapshot", k, r, err, k)
+		}
+	}
 }

@@ -342,7 +342,7 @@ func runReadHeavy(t *testing.T, addr string, readers, writers, depth int, dur ti
 
 // TestSnapshotServedShare is the host-independent half of the snapshot-read
 // acceptance gate: under a 90/10 read-heavy load, the MVCC path must serve
-// the majority of the readers' GETs off the worker queues. How much faster
+// the majority of the readers' GETs off the shard queues. How much faster
 // that makes them is the repository benchmark's question (read-text), not
 // tier-1's.
 func TestSnapshotServedShare(t *testing.T) {

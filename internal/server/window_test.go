@@ -9,22 +9,22 @@ import (
 	"time"
 )
 
-// enqueueHeld queues jobs on shard 0 while every worker is parked in a
-// Freeze and releases them together, so the batches the worker then forms
-// depend only on MaxBatch — never on how fast the host runs the enqueuer
-// against the worker. len(jobs) must fit the shard queue.
+// enqueueHeld queues jobs on shard 0 inside a Freeze, so nothing commits
+// them while they are queued, then commits through each in order: the
+// batches then depend only on MaxBatch — never on how fast the host runs
+// the enqueuer.
 func enqueueHeld(t *testing.T, s *Server, jobs []*job) {
 	t.Helper()
-	if len(jobs) > cap(s.shards[0].jobs) {
-		t.Fatalf("%d held jobs exceed the shard queue (%d)", len(jobs), cap(s.shards[0].jobs))
-	}
 	err := s.Freeze(func() {
 		for _, j := range jobs {
-			s.shards[0].jobs <- j
+			s.shards[0].enqueue(j)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		s.commitThrough(j)
 	}
 }
 
@@ -32,7 +32,7 @@ func enqueueHeld(t *testing.T, s *Server, jobs []*job) {
 func setJobs(n, keys int) []*job {
 	jobs := make([]*job, n)
 	for i := range jobs {
-		j := newJob()
+		j := &job{}
 		j.ops = append(j.ops, Op{Kind: OpSet, Key: uint64(i % keys), Arg1: uint64(i)})
 		jobs[i] = j
 	}
@@ -56,9 +56,6 @@ func runSets(t *testing.T, maxBatch, n int) uint64 {
 	jobs := setJobs(n, n)
 	enqueueHeld(t, s, jobs)
 	for _, j := range jobs {
-		<-j.done
-	}
-	for _, j := range jobs {
 		if len(j.results) != 1 || j.results[0].Status != StatusOK {
 			t.Fatalf("maxBatch=%d: bad result %+v", maxBatch, j.results)
 		}
@@ -70,7 +67,7 @@ func runSets(t *testing.T, maxBatch, n int) uint64 {
 	return after.Fences - before.Fences
 }
 
-// TestPublishedStatsCoverEveryReply: a worker publishes its STATS snapshot
+// TestPublishedStatsCoverEveryReply: a combiner publishes its STATS snapshot
 // before it releases a batch's replies, so once the last reply has arrived
 // the published counters already account for every commit the engine made.
 func TestPublishedStatsCoverEveryReply(t *testing.T) {
@@ -79,15 +76,14 @@ func TestPublishedStatsCoverEveryReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.startWorkers()
+	s.startup()
 	beforeStats, _, _ := s.shards[0].published()
 	beforeLive := s.Counters()
-	// The whole load is queued before the worker is released, so it
-	// coalesces deterministically.
+	// The whole load is queued before any of it commits, so it coalesces
+	// deterministically.
 	jobs := setJobs(60, 7)
 	enqueueHeld(t, s, jobs)
 	for _, j := range jobs {
-		<-j.done
 		if len(j.results) != 1 || j.results[0].Status != StatusOK {
 			t.Fatalf("bad result %+v", j.results)
 		}
@@ -371,8 +367,7 @@ func TestBarrierLSNAfterQueuedSet(t *testing.T) {
 }
 
 // TestBarrierExtApplyBehindQueuedSet: an extension verb whose hook calls
-// Apply, pipelined behind a SET, must complete. Inside the SET's window
-// the hook would wait on a worker that holds its batch open for the window.
+// Apply, pipelined behind a SET, must complete.
 func TestBarrierExtApplyBehindQueuedSet(t *testing.T) {
 	s := barrierServer(t)
 	s.OnExtCommand(func(verb string, args [][]byte) ([]byte, bool) {
@@ -399,8 +394,8 @@ func TestBarrierExtApplyBehindQueuedSet(t *testing.T) {
 
 // TestBarrierGetAtBehindQueuedSet: a GETAT waiting for the LSN of a SET
 // pipelined ahead of it must be answered at once. Inside the SET's window
-// it would wait out getAtTimeout while the worker holds the SET's batch
-// open for the window.
+// it would wait out getAtTimeout for a SET only its own handler, blocked in
+// that wait, is bound to commit.
 func TestBarrierGetAtBehindQueuedSet(t *testing.T) {
 	s := barrierServer(t)
 	c := pipeClient(t, s, "text")

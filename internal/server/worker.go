@@ -1,7 +1,6 @@
 package server
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -11,35 +10,39 @@ import (
 	"specpmt/pds/hashmap"
 )
 
-// shard is one worker's world: an engine thread of the pool, the hash-map
-// shard it owns, and the job queue connections route into. Everything
-// reachable from th and m is touched only by the worker goroutine — or,
-// during a cross-shard transaction, by the executor worker while this one
-// is parked at the barrier.
+// shard is one engine thread of the pool, the hash-map shard it owns, and
+// the FIFO of single-shard jobs waiting to commit on it. There is no shard
+// goroutine: the handler that queued a job commits it (commitThrough), under
+// the combiner lock comb. Whoever holds comb owns th, m, batch, wbuf, one and
+// installMax, and publishes for the shard; a cross-shard transaction, a
+// Freeze or a Crash holds the combs of every shard it touches.
 type shard struct {
 	id   int
+	comb sync.Mutex
 	th   *specpmt.Thread
 	m    *hashmap.Map
-	jobs chan *job
-	// wbuf stages a batch's effective writes for the Replicator (worker
-	// goroutine only; reused across batches); one avoids a slice allocation
-	// when publishing a lone job.
-	wbuf []RepWrite
-	one  [1]*job
+	// qmu guards queue; it is held only to append or to take a batch.
+	qmu   sync.Mutex
+	queue []*job
+	// batch is the combiner's current batch; wbuf stages a batch's effective
+	// writes for the Replicator; one avoids a slice allocation when
+	// publishing a lone job. All three are reused across batches.
+	batch []*job
+	wbuf  []RepWrite
+	one   [1]*job
 
 	// MVCC snapshot reads (mvcc.go). ver is the shard's version store, read
 	// lock-free by the fast path and swapped whole on rebuilds; verStale
 	// marks it behind the map (an unstamped internal write landed) — the
-	// fast path falls back and the worker rebuilds at the next idle moment.
-	// installMax is the highest LSN installed so far, touched only by the
-	// goroutine executing the shard's commits (its worker, or the executor
-	// of a cross-shard transaction while this worker is parked).
+	// fast path falls back and the combiner rebuilds the store at the end
+	// of a commit turn that leaves the queue empty. installMax is the
+	// highest LSN installed so far.
 	ver        atomic.Pointer[mvcc.Store]
 	verStale   atomic.Bool
 	installMax uint64
 
-	// Published snapshot for STATS — written by the worker, read by
-	// connection goroutines under mu.
+	// Published snapshot for STATS — written under comb, read by connection
+	// goroutines under mu.
 	mu      sync.Mutex
 	stats   specpmt.Counters
 	keys    uint64
@@ -54,20 +57,16 @@ type shard struct {
 	track      int32
 }
 
-func newShard(pool *specpmt.ThreadedPool, id, maxBatch int) (*shard, error) {
+func newShard(pool *specpmt.ThreadedPool, id int) (*shard, error) {
 	th := pool.Thread(id)
 	m, err := hashmap.New(th, id)
 	if err != nil {
 		return nil, err
 	}
-	queue := 4 * maxBatch
-	if queue < 64 {
-		queue = 64
-	}
-	return &shard{id: id, th: th, m: m, jobs: make(chan *job, queue)}, nil
+	return &shard{id: id, th: th, m: m}, nil
 }
 
-// publish refreshes the shard's STATS snapshot (worker goroutine only).
+// publish refreshes the shard's STATS snapshot (comb held).
 func (sh *shard) publish() {
 	stats, keys, modelNs := sh.th.Counters(), sh.m.Len(), sh.th.Now()
 	sh.mu.Lock()
@@ -82,9 +81,25 @@ func (sh *shard) published() (specpmt.Counters, uint64, int64) {
 	return sh.stats, sh.keys, sh.modelNs
 }
 
-// job is one request's rendezvous between a connection goroutine and the
-// worker(s): ops in, results + modeled nanoseconds out, one token on done.
-// Connections reuse their job across requests.
+// enqueue appends a single-shard job to the shard's queue. The caller must
+// then commitThrough it: a queued job has no other committer it can count on.
+func (sh *shard) enqueue(j *job) {
+	j.sh = sh
+	sh.qmu.Lock()
+	sh.queue = append(sh.queue, j)
+	sh.qmu.Unlock()
+}
+
+// queued returns how many jobs wait in the shard's queue.
+func (sh *shard) queued() int {
+	sh.qmu.Lock()
+	defer sh.qmu.Unlock()
+	return len(sh.queue)
+}
+
+// job is one request's rendezvous between the goroutine that queued it and
+// the combiner that commits it: ops in, results + modeled nanoseconds out,
+// then done. Connections reuse their job across requests.
 type job struct {
 	ops     []Op
 	results []Result
@@ -94,18 +109,17 @@ type job struct {
 	// start, and the commit window — populated only when the server takes
 	// per-request stamps (spans or slow-op log on).
 	wallEnq, wallExec, wallCommit0, wallCommit1 int64
-	multi                                       *multiJob // nil for single-shard jobs
-	done                                        chan struct{}
-	// shardBuf backs the job's shard set, so dispatching it allocates
-	// nothing for a single-shard request.
+	// sh is the shard a single-shard job is queued on; done is set once its
+	// results are final, and the committer touches the job no more.
+	sh   *shard
+	done atomic.Bool
+	// shardBuf backs the job's shard set, so running it allocates nothing
+	// for a single-shard request.
 	shardBuf [specpmt.RootSlots]int
 	// extra, when non-nil, runs inside the job's transaction after its ops
 	// — replication replay stamps applied-LSN cells with it.
 	extra func(specpmt.Tx)
-	// frozen, when non-nil, marks a Freeze barrier: the executor runs it
-	// with every worker parked instead of applying ops.
-	frozen func()
-	// internal marks jobs originated by Apply/Freeze rather than a client
+	// internal marks jobs originated by Apply rather than a client
 	// connection; their effects are not re-published to the Replicator.
 	internal bool
 	// pubLSN is an internal job's publication LSN (ApplyAt): its effective
@@ -114,100 +128,81 @@ type job struct {
 	pubLSN uint64
 }
 
-func newJob() *job { return &job{done: make(chan struct{}, 1)} }
-
 func (j *job) reset() {
 	j.ops = j.ops[:0]
 	j.results = j.results[:0]
 	j.modelNs = 0
 	j.wallEnq, j.wallExec, j.wallCommit0, j.wallCommit1 = 0, 0, 0, 0
-	j.multi = nil
+	j.sh = nil
+	j.done.Store(false)
 	j.extra = nil
-	j.frozen = nil
 	j.internal = false
 	j.pubLSN = 0
 }
 
-func (j *job) finish() { j.done <- struct{}{} }
+func (j *job) finish() { j.done.Store(true) }
 
-// multiJob coordinates a cross-shard transaction: every involved worker
-// receives the job; the lowest involved shard executes it once the others
-// have parked, then releases them.
-type multiJob struct {
-	shards   []int // sorted; shards[0] executes
-	parked   sync.WaitGroup
-	released chan struct{}
-	// published counts the non-executors' post-release counter republish:
-	// the executor waits for it before finishing the job, so when the
-	// caller's Apply/Freeze returns, no involved worker is still touching
-	// its engine thread — the quiesce contract Crash relies on.
-	published sync.WaitGroup
+// commitThrough returns once j, queued on j.sh, has committed. It takes the
+// shard's combiner lock and commits one batch per hold — the oldest queued
+// jobs, whoever queued them — until j's batch is done; a job another
+// combiner took is done by the time the lock comes free. Coalescing comes
+// from overlap alone (DESIGN.md §4d): a window queues all its jobs before
+// its first commitThrough, and jobs queued while a combiner commits form the
+// next batch. Nobody waits for a batch to fill, and nobody spins.
+func (s *Server) commitThrough(j *job) {
+	for !j.done.Load() {
+		j.sh.comb.Lock()
+		if !j.done.Load() {
+			s.commitBatch(j.sh)
+		}
+		j.sh.comb.Unlock()
+	}
 }
 
-// runWorker is a shard worker's main loop: take one job, coalesce whatever
-// else is queued into a group commit, execute, publish, reply.
-func (s *Server) runWorker(sh *shard) {
-	var batch []*job
-	for j := range sh.jobs {
-		if j.multi != nil {
-			s.runMulti(sh, j)
-			continue
-		}
-		batch = append(batch[:0], j)
-		var pendingMulti *job
-		batch, pendingMulti = s.collectBatch(sh, batch)
-		s.runBatch(sh, batch)
-		if pendingMulti != nil {
-			s.runMulti(sh, pendingMulti)
-		}
-		if s.mvccOn && sh.verStale.Load() && len(sh.jobs) == 0 {
-			// An unstamped write (migration apply, bootstrap batch) left the
-			// version store behind the map: rebuild it while the queue is
-			// quiet so the snapshot fast path comes back.
-			s.rebuildStore(sh)
+// commitBatch commits the up to MaxBatch oldest queued jobs as one group
+// commit and returns how many it took (comb held).
+func (s *Server) commitBatch(sh *shard) int {
+	sh.qmu.Lock()
+	n := min(len(sh.queue), s.cfg.MaxBatch)
+	sh.batch = append(sh.batch[:0], sh.queue[:n]...)
+	rest := copy(sh.queue, sh.queue[n:])
+	clear(sh.queue[rest:])
+	sh.queue = sh.queue[:rest]
+	sh.qmu.Unlock()
+	if n > 0 {
+		sh.queueDepth.Observe(int64(rest))
+		s.runBatch(sh, sh.batch)
+	}
+	s.rebuildIfIdle(sh)
+	return n
+}
+
+// rebuildIfIdle ends a commit turn (comb held): an unstamped write (migration
+// apply, bootstrap batch) that left the version store behind the map is
+// caught up once the queue is empty, so the snapshot fast path comes back.
+func (s *Server) rebuildIfIdle(sh *shard) {
+	if s.mvccOn && sh.verStale.Load() && sh.queued() == 0 {
+		s.rebuildStore(sh)
+	}
+}
+
+// lockShards takes the combiner locks of ids (ascending) and commits what
+// each has queued, so everything queued ahead commits first. Jobs queued
+// after the lock is taken wait for its release: their owners commit them.
+func (s *Server) lockShards(ids []int) {
+	for _, id := range ids {
+		sh := s.shards[id]
+		sh.comb.Lock()
+		for n := sh.queued(); n > 0; {
+			n -= s.commitBatch(sh)
 		}
 	}
 }
 
-// collectBatch drains the queue into batch, up to MaxBatch jobs, and returns
-// the moment the queue is dry: coalescing comes from overlap — what arrived
-// while the worker or a connection's previous window was busy — never from
-// waiting (DESIGN.md §4d). Two rules keep "dry" honest without a clock:
-// (1) the queue is not dry while a connection handler is still dispatching
-// a window it has already read, unless that handler may itself be blocked on
-// the workers (waiting at a full in-flight gate while its window holds no
-// slot yet, a shard frozen at admission); (2) the
-// worker yields once before going dry, so a handler the netpoller has
-// already made runnable enqueues first. A cross-shard job ends collection
-// (it needs the barrier protocol) and is returned separately.
-func (s *Server) collectBatch(sh *shard, batch []*job) ([]*job, *job) {
-	yielded := false
-	for len(batch) < s.cfg.MaxBatch {
-		// Read before the queue is polled: a handler seen finished here has
-		// enqueued its whole window, so the poll cannot miss part of it.
-		moreComing := s.dispatching.Load() > 0 &&
-			len(s.inflight) < cap(s.inflight) && s.frozenMask.Load() == 0
-		select {
-		case j, ok := <-sh.jobs:
-			if !ok {
-				return batch, nil
-			}
-			if j.multi != nil {
-				return batch, j
-			}
-			batch = append(batch, j)
-			continue
-		default:
-		}
-		if !moreComing {
-			if yielded {
-				return batch, nil
-			}
-			yielded = true
-		}
-		runtime.Gosched()
+func (s *Server) unlockShards(ids []int) {
+	for _, id := range ids {
+		s.shards[id].comb.Unlock()
 	}
-	return batch, nil
 }
 
 // runBatch executes a batch of single-shard jobs. Reads-only batches skip
@@ -218,7 +213,6 @@ func (s *Server) runBatch(sh *shard, batch []*job) {
 	if s.stamps {
 		wall0 = s.nowNs()
 	}
-	sh.queueDepth.Observe(int64(len(sh.jobs)))
 	sh.batchJobs.Observe(int64(len(batch)))
 	readOnly := true
 	for _, j := range batch {
@@ -469,42 +463,23 @@ func (s *Server) runSingle(sh *shard, j *job) {
 	j.finish()
 }
 
-// runMulti coordinates a cross-shard transaction. Non-executors park at the
-// barrier, which hands their engine thread and map shard to the executor;
-// the executor applies every operation in ONE transaction on its own
-// engine and releases them after commit. Every involved worker has
-// published everything it committed before parking, so the publish below
-// follows each shard's earlier LSNs.
-func (s *Server) runMulti(sh *shard, j *job) {
-	m := j.multi
-	if sh.id != m.shards[0] {
-		m.parked.Done()
-		<-m.released
-		sh.publish()
-		m.published.Done()
-		return
-	}
-	m.parked.Wait()
-
-	if j.frozen != nil {
-		// Freeze barrier: every other worker is parked; run the callback
-		// over the quiesced store, then release.
-		j.frozen()
-		close(m.released)
-		m.published.Wait()
-		j.finish()
-		return
-	}
-
+// runMulti runs a cross-shard transaction on the calling goroutine: it takes
+// the involved shards' combiner locks in ascending order (which rules out
+// circular waits), commits what each has queued ahead, applies every
+// operation in ONE transaction on the lowest shard's engine thread, and
+// publishes before unlocking, so the publish follows each shard's earlier
+// LSNs. A synchronous-replication wait comes after the unlock: the record's
+// position in the log is already fixed.
+func (s *Server) runMulti(j *job, ids []int) {
+	s.lockShards(ids)
+	sh := s.shards[ids[0]]
 	if s.stamps {
 		j.wallExec = s.nowNs()
 	}
 	// Grow every involved shard to fit its share of the transaction's
 	// inserts — the cross-shard analogue of runBatch's headroom pass (a
 	// large MULTI or replicated snapshot batch commits as one transaction).
-	// Every involved worker is parked at the barrier, so driving their
-	// pools here is safe.
-	for _, id := range m.shards {
+	for _, id := range ids {
 		var puts uint64
 		for _, op := range j.ops {
 			if (op.Kind == OpSet || op.Kind == OpCAS) && s.shardOf(op.Key) == id {
@@ -539,7 +514,7 @@ func (s *Server) runMulti(sh *shard, j *job) {
 	} else {
 		tx.Abort()
 	}
-	for _, id := range m.shards {
+	for _, id := range ids {
 		if ok {
 			s.shards[id].m.ReleaseRetired()
 		} else {
@@ -570,14 +545,15 @@ func (s *Server) runMulti(sh *shard, j *job) {
 		}
 	}
 	j.modelNs = sh.th.Now() - j.startNs
-	sh.publish()
-	// Release the parked workers before any synchronous-replication wait:
-	// the record's position in the log is already fixed.
-	close(m.released)
+	for _, id := range ids {
+		t := s.shards[id]
+		t.publish()
+		s.rebuildIfIdle(t)
+	}
+	s.unlockShards(ids)
 	if wait != nil {
 		wait()
 	}
-	m.published.Wait()
 	j.finish()
 }
 
